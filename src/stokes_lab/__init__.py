@@ -1,6 +1,7 @@
 """Exact polarization moments and photon-resolved tomography for two-mode states."""
 
 from .errors import (
+    NoManifoldReconstructedError,
     NonPhysicalStateError,
     RankDeficientError,
     StokesLabError,

@@ -38,3 +38,15 @@ class RankDeficientError(StokesLabError):
         self.expected = expected
         self.condition_number = condition_number
         self.deficient_directions = deficient_directions
+
+
+class NoManifoldReconstructedError(StokesLabError):
+    """Raised when tomography skips every populated manifold.
+
+    Attributes:
+        skipped: photon number -> reason the manifold was skipped.
+    """
+
+    def __init__(self, message, skipped):
+        super().__init__(message)
+        self.skipped = skipped

@@ -67,6 +67,8 @@ class Direction:
     z: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+            raise ValueError(f"direction components must be finite, got {(self.x, self.y, self.z)!r}")
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
         if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
@@ -76,6 +78,8 @@ class Direction:
         v = np.asarray(vec, dtype=float)
         if v.shape != (3,):
             raise ValueError(f"direction needs 3 components, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError(f"direction components must be finite, got {tuple(v.tolist())!r}")
         if normalize:
             norm = np.linalg.norm(v)
             if norm == 0.0:
@@ -158,6 +162,45 @@ def stokes_in_direction(n, n_photons: int) -> np.ndarray:
     d = as_direction(n)
     s1, s2, s3 = stokes_vector_operators(n_photons)
     return d.x * s1 + d.y * s2 + d.z * s3
+
+
+def rotated_fock_bases(n, n_max: int) -> list[np.ndarray]:
+    """Eigenbases of n . S on the manifolds 0..n_max, built without diagonalizing.
+
+    Entry N is unitary; its column k is the Fock state |N-k, k> carried by
+    the rotation that takes the z-axis onto n, i.e. the eigenvector of
+    n . S with eigenvalue exactly N-2k.  The single-photon rotation has
+    columns (c, e^{i phi} s) and (-e^{-i phi} s, c) with c = sqrt((1+z)/2),
+    s = sqrt((1-z)/2) and e^{i phi} the phase of x+iy.  Manifold N follows
+    from N-1 by splitting one photon off both the row and the column Fock
+    state; that map is a contraction, so rounding errors add up instead of
+    growing from level to level.  Along +-z every basis is a signed
+    permutation with exact zeros, so no spurious outcomes appear there.
+    """
+    d = as_direction(n)
+    n_max = check_manifold(n_max)
+    c = math.sqrt(max(0.0, (1.0 + d.z) / 2.0))
+    s = math.sqrt(max(0.0, (1.0 - d.z) / 2.0))
+    rho = math.hypot(d.x, d.y)
+    phase = complex(d.x, d.y) / rho if rho > 0.0 else 1.0
+    hh, vh = c, phase * s  # image of the horizontal photon
+    hv, vv = -phase.conjugate() * s, c  # image of the vertical photon
+    roots = np.sqrt(np.arange(n_max + 1, dtype=float))
+    bases = [np.ones((1, 1), dtype=complex)]
+    for n_photons in range(1, n_max + 1):
+        # |N-k,k> = sqrt((N-k)/N) |H>|N-1-k,k> + sqrt(k/N) |V>|N-k,k-1>:
+        # split the column state first, then the row state
+        h = roots[n_photons::-1]
+        v = roots[: n_photons + 1]
+        padded = np.zeros((n_photons, n_photons + 2), dtype=complex)
+        padded[:, 1:-1] = bases[-1]
+        from_h = padded[:, 1:] * h
+        from_v = padded[:, :-1] * v
+        basis = np.zeros((n_photons + 1, n_photons + 1), dtype=complex)
+        basis[:-1] = h[:-1, None] * (hh * from_h + hv * from_v)
+        basis[1:] += v[1:, None] * (vh * from_h + vv * from_v)
+        bases.append(basis / n_photons)
+    return bases
 
 
 @lru_cache(maxsize=None)

@@ -147,17 +147,6 @@ class MomentComponents:
         return self.values[(2, 0)] + self.values[(0, 2)] + self.values[(0, 0)]
 
 
-def _word_products(n_photons: int, order: int):
-    """All ordered products up to the given order, keyed by word."""
-    gens = stokes_vector_operators(n_photons)
-    dim = n_photons + 1
-    products: dict[tuple, np.ndarray] = {(): np.eye(dim, dtype=complex)}
-    for r in range(1, order + 1):
-        for w in itertools.product((1, 2, 3), repeat=r):
-            products[w] = products[w[:-1]] @ gens[w[-1] - 1]
-    return products
-
-
 def polarization_tensor(state: ManifoldState, order: int) -> PolarizationTensor:
     """All ordered-product expectations of one rank for a manifold state."""
     if order < 1:

@@ -17,8 +17,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import wordalg
-from .errors import NonPhysicalStateError, RankDeficientError, StokesLabError
-from .fock import Direction, as_direction, stokes_in_direction, stokes_vector_operators
+from .errors import (
+    NoManifoldReconstructedError,
+    NonPhysicalStateError,
+    RankDeficientError,
+    StokesLabError,
+)
+from .fock import Direction, as_direction, rotated_fock_bases, stokes_vector_operators
 from .moments import (
     DEFAULT_ORDER_CAP,
     MomentComponents,
@@ -84,26 +89,20 @@ class MeasurementRecord:
 def outcome_distribution(state, n) -> dict:
     """Joint law over (photon number, difference eigenvalue) for one direction.
 
-    Per manifold the probabilities come from the eigendecomposition of the
-    directional operator; eigenvalues are snapped to the exact grid N-2k.
+    On manifold N the eigenvectors of the directional operator are the
+    rotated Fock states of fock.rotated_fock_bases, with eigenvalues exactly
+    N-2k, so nothing is diagonalized or rounded.  The N+1 probabilities of a
+    block are the diagonal of U^dag rho U, taken in one contraction.
     """
-    direction = as_direction(n)
     block = as_block_diagonal(state)
+    bases = rotated_fock_bases(n, max(block.manifolds))
     dist: dict[tuple[int, int], float] = {}
     for n_photons, p, ms in block.blocks:
-        if n_photons == 0:
-            dist[(0, 0)] = dist.get((0, 0), 0.0) + p
-            continue
-        op = stokes_in_direction(direction, n_photons)
-        evals, evecs = np.linalg.eigh(op)
-        rho = ms.density()
-        for idx in range(n_photons + 1):
-            s = int(round(evals[idx]))
-            v = evecs[:, idx]
-            prob = float((v.conj() @ rho @ v).real)
-            if prob < 0.0:
-                prob = 0.0
-            dist[(n_photons, s)] = dist.get((n_photons, s), 0.0) + p * prob
+        u = bases[n_photons]
+        probs = np.clip(((ms.density() @ u) * u.conj()).sum(axis=0).real, 0.0, None)
+        # keys in ascending eigenvalue order, k = N..0
+        for k in range(n_photons, -1, -1):
+            dist[(n_photons, n_photons - 2 * k)] = p * float(probs[k])
     total = sum(dist.values())
     return {k: v / total for k, v in dist.items() if v > 0.0}
 
@@ -344,31 +343,30 @@ def derive_third_order_fallback(seed: int = 0xD1CE, iterations: int = 400, step:
 def generic_directions(order: int, seed: int = 2023, candidates: int = 200) -> DirectionSet:
     """A 2r+1 direction set chosen by condition-number search.
 
-    Not taken from any published construction; provided as an extension for
-    orders without a named set and tagged as such.
+    Draws a seeded pool of candidate lines, then 200 seeded subsets of
+    2r+1 of them, and keeps the first subset whose reduced design has the
+    smallest condition number.  The pool's reduced design is built once and
+    all subsets are scored by one batched SVD.  Not taken from any
+    published construction; provided as an extension for orders without a
+    named set and tagged as such.
     """
     n_free = independent_moment_count(order)
     gen = np.random.Generator(np.random.Philox(key=seed + order))
     pool = gen.normal(size=(candidates, 3))
     pool /= np.linalg.norm(pool, axis=1, keepdims=True)
-    null = constraint_nullspace(order)
-
-    def cond_of(subset):
-        sv = np.linalg.svd(design_matrix(subset, order) @ null, compute_uv=False)
-        if sv[-1] <= sv[0] * RANK_TOL:
-            return math.inf
-        return sv[0] / sv[-1]
-
-    best = None
-    best_c = math.inf
-    for _ in range(200):
-        pick = gen.choice(candidates, size=n_free, replace=False)
-        subset = [Direction.from_vector(pool[i], normalize=True) for i in pick]
-        c = cond_of(subset)
-        if c < best_c:
-            best, best_c = subset, c
+    lines = [Direction.from_vector(v, normalize=True) for v in pool]
+    reduced = design_matrix(lines, order) @ constraint_nullspace(order)
+    picks = np.array([gen.choice(candidates, size=n_free, replace=False) for _ in range(200)])
+    sv = np.linalg.svd(reduced[picks], compute_uv=False)
+    resolved = sv[:, -1] > sv[:, 0] * RANK_TOL
+    cond = np.full(len(picks), math.inf)
+    cond[resolved] = sv[resolved, 0] / sv[resolved, -1]
+    best = picks[int(np.argmin(cond))]
     return DirectionSet(
-        f"generic-{order}", order, tuple(best), tags=("condition-number search", "extension")
+        f"generic-{order}",
+        order,
+        tuple(lines[i] for i in best),
+        tags=("condition-number search", "extension"),
     )
 
 
@@ -692,7 +690,9 @@ def run_tomography(
     the photon number.  Full reconstruction of a manifold needs all orders
     up to its photon number, so manifolds beyond the order cap (default 6,
     where dense tensors stay cheap) are skipped with a reason, as are
-    manifolds whose records hold fewer than min_counts samples.
+    manifolds whose records hold fewer than min_counts samples.  If that
+    leaves nothing to reconstruct, NoManifoldReconstructedError carries the
+    reasons.
     """
     block = as_block_diagonal(state)
     populated = list(block.manifolds)
@@ -807,6 +807,10 @@ def run_tomography(
             rho,
             diagnostics,
             rec_diag,
+        )
+    if not results:
+        raise NoManifoldReconstructedError(
+            f"every populated manifold was skipped: {skipped}", skipped=skipped
         )
     return ReconstructionResult(
         manifolds=results,

@@ -132,6 +132,14 @@ def test_tomography_symmetric_set_fails_with_rank_report(capsys):
     assert "rank 4" in err
 
 
+def test_tomography_every_manifold_skipped_fails_with_reasons(capsys):
+    code, out, err = run_cli(capsys, "tomography", "--state", "noon:n=2", "--shots", "1", "--seed", "3")
+    assert code == 1
+    assert out == ""
+    assert "every populated manifold was skipped" in err
+    assert "2: 'only 8 samples across settings'" in err
+
+
 def test_verify_suites_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "algebra")
     assert code == 0

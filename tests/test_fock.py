@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,7 @@ from stokes_lab.fock import (
     euler_rotation_matrix,
     manifold_cap,
     rotated_direction,
+    rotated_fock_bases,
     rotation_matrix,
     stokes_in_direction,
     stokes_operator,
@@ -76,6 +79,34 @@ def test_direction_validation():
     assert d.x == pytest.approx(0.6)
     theta, phi = Direction.from_spherical(0.7, 1.9).spherical()
     assert (theta, phi) == pytest.approx((0.7, 1.9))
+
+
+@given(
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=3, max_size=3),
+    st.integers(0, 2),
+    st.floats(allow_nan=True, allow_infinity=True).map(lambda v: v if not math.isfinite(v) else math.nan),
+)
+def test_direction_rejects_non_finite_components(components, index, bad):
+    components[index] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Direction(*components)
+    with pytest.raises(ValueError, match="finite"):
+        Direction.from_vector(components, normalize=True)
+
+
+def test_rotated_fock_bases_diagonalize_direction_operator(rng):
+    axes = [sign * v for v in np.eye(3) for sign in (1.0, -1.0)]
+    for d in axes + [random_direction(rng) for _ in range(8)]:
+        bases = rotated_fock_bases(d, 32)
+        assert len(bases) == 33
+        for n in range(1, 33):
+            u = bases[n]
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(n + 1), atol=1e-12)
+            np.testing.assert_allclose(
+                u.conj().T @ stokes_in_direction(d, n) @ u,
+                np.diag([n - 2.0 * k for k in range(n + 1)]),
+                atol=1e-12,
+            )
 
 
 def test_direction_operator_examples():

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from stokes_lab.errors import NonPhysicalStateError, RankDeficientError
-from stokes_lab.fock import Direction
+from stokes_lab.errors import NoManifoldReconstructedError, NonPhysicalStateError, RankDeficientError
+from stokes_lab.fock import Direction, as_direction, stokes_in_direction
 from stokes_lab.moments import (
     averaged_profile,
     component_classes,
@@ -14,9 +16,11 @@ from stokes_lab.serialize import record_from_json, record_to_json
 from stokes_lab.states import (
     BlockDiagonalState,
     ManifoldState,
+    as_block_diagonal,
     noon,
     su2_coherent,
     twin_fock,
+    two_mode_coherent,
     unpolarized_two_photon,
 )
 from stokes_lab.tomography import (
@@ -49,6 +53,20 @@ E3 = Direction(0.0, 0.0, 1.0)
 E1 = Direction(1.0, 0.0, 0.0)
 
 
+def eigh_outcome_distribution(state, n):
+    """Reference law: diagonalize n . S on each block and round the eigenvalues."""
+    block = as_block_diagonal(state)
+    dist = {}
+    for n_photons, p, ms in block.blocks:
+        evals, evecs = np.linalg.eigh(stokes_in_direction(as_direction(n), n_photons))
+        rho = ms.density()
+        for s, v in zip(evals, evecs.T):
+            prob = max(float((v.conj() @ rho @ v).real), 0.0)
+            dist[(n_photons, int(round(s)))] = p * prob
+    total = sum(dist.values())
+    return {k: v / total for k, v in dist.items() if v > 0.0}
+
+
 class TestOutcomeDistribution:
     def test_polar_single_photon(self):
         dist = outcome_distribution(ManifoldState.fock(1, 0), E3)
@@ -73,6 +91,22 @@ class TestOutcomeDistribution:
                 assert distribution_moment(dist, r, 3) == pytest.approx(
                     stokes_profile(state, r, v), abs=1e-10
                 )
+
+    def test_fock_states_along_z_give_one_outcome(self):
+        for n in range(1, 9):
+            for k in range(n + 1):
+                state = ManifoldState.fock(n - k, k)
+                assert outcome_distribution(state, E3) == {(n, n - 2 * k): 1.0}
+                assert outcome_distribution(state, Direction(0.0, 0.0, -1.0)) == {(n, 2 * k - n): 1.0}
+
+    def test_coherent_sector_matches_eigh_reference(self):
+        state = two_mode_coherent(2.0, 25)
+        for order in range(1, 7):
+            for d in choose_directions(order).directions:
+                dist = outcome_distribution(state, d)
+                reference = eigh_outcome_distribution(state, d)
+                for key in set(dist) | set(reference):
+                    assert abs(dist.get(key, 0.0) - reference.get(key, 0.0)) <= 1e-12, (order, key)
 
     def test_opposite_direction_mirrors_eigenvalues(self, rng):
         state = ManifoldState.mixed(2, random_density(2, rng))
@@ -186,12 +220,29 @@ class TestDirectionSets:
         assert cond < 100.0
 
     def test_generic_set_full_rank(self):
-        for order in (4, 5):
+        for order in (4, 5, 11, 12):
             dset = generic_directions(order)
             assert len(dset.directions) == 2 * order + 1
             sv = reduced_design_singular_values(dset.directions, order)
             assert int((sv > sv[0] * 1e-12).sum()) == 2 * order + 1
             assert "extension" in dset.tags
+
+    # sha256 of each searched set's packed float64 (x, y, z) rows; a change here
+    # changes every exact and finite-shot result above order three
+    GENERIC_SET_SHA256 = {
+        4: "bd1b17308b7eedf6ceb42a16ddacf1addb857320d8f39fbe96c824ae4329cc9e",
+        5: "746488ba9980c60d430baed9bacd43d19385d4593b61a888ace5e4bce1e9761e",
+        6: "94237be01753f27294e0fc0a9017e849e5fa9da936c89cbc0a0b8e2806f56e91",
+        7: "bd7856717d084d352e084cd5d151223b3799c5ef0a65246fb4700d29211bffc0",
+        8: "ec95422ec7328c477083b516fdbc7439e3cfad1daf28a258cddc67c659f88b3a",
+        9: "be761ea39dff099e9d1070bce500810cc10faf31eddf735960a5b41daebae46d",
+        10: "8744d58fa1af7f06d70d023263cbf37b1ad525764dadb6093cde762f1126f93e",
+    }
+
+    @pytest.mark.parametrize("order", sorted(GENERIC_SET_SHA256))
+    def test_generic_set_is_pinned(self, order):
+        rows = np.array([d.as_array() for d in generic_directions(order).directions], dtype="<f8")
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == self.GENERIC_SET_SHA256[order]
 
     def test_choose_dispatch(self):
         assert choose_directions(1).label == "coordinate-axes"
@@ -386,6 +437,12 @@ class TestPipeline:
         assert 2 in result.manifolds
         assert 8 in result.skipped
         assert "order cap" in result.skipped[8]
+
+    def test_every_manifold_skipped_raises_with_reasons(self):
+        with pytest.raises(NoManifoldReconstructedError) as info:
+            run_tomography(noon(2), shots=1, seed=3)
+        assert list(info.value.skipped) == [2]
+        assert "samples" in info.value.skipped[2]
 
     def test_exact_round_trip_through_generic_sets(self, rng):
         # manifolds four to six exercise the searched direction sets end to end
