@@ -24,6 +24,11 @@ from .tomography import run_tomography
 DEFAULT_MESH = (181, 361)
 
 
+def _reject_constant(name: str):
+    # json.load reads NaN, Infinity and -Infinity unless told otherwise
+    raise ValueError(f"state file holds the non-finite number {name}")
+
+
 def _parse_state_spec(spec: str):
     """A state spec is either a JSON file path or family:key=value,...
 
@@ -31,7 +36,7 @@ def _parse_state_spec(spec: str):
     """
     if ":" not in spec or spec.endswith(".json"):
         with open(spec, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+            payload = json.load(handle, parse_constant=_reject_constant)
         return serialize.state_from_json(payload), payload.get("type", "custom"), payload.get("params", {})
     family, _, raw = spec.partition(":")
     params = {}

@@ -149,11 +149,19 @@ class MomentComponents:
 
 def polarization_tensor(state: ManifoldState, order: int) -> PolarizationTensor:
     """All ordered-product expectations of one rank for a manifold state."""
+    return matrix_tensor(state.density(), state.n_photons, order)
+
+
+def matrix_tensor(rho: np.ndarray, n_photons: int, order: int) -> PolarizationTensor:
+    """Tr(rho S_i1 ... S_ir) for every index word of one rank.
+
+    rho is any matrix on the manifold, not necessarily a physical state:
+    tomography reports the tensors of its raw linear-inversion estimate.
+    """
     if order < 1:
         raise ValueError("order must be at least 1")
-    rho = state.density()
-    gens = stokes_vector_operators(state.n_photons)
-    dim = state.n_photons + 1
+    gens = stokes_vector_operators(n_photons)
+    dim = n_photons + 1
     values = np.zeros((3,) * order, dtype=complex)
     # grow products left to right so prefixes are shared
     stack: dict[tuple, np.ndarray] = {(): np.eye(dim, dtype=complex)}
@@ -166,7 +174,7 @@ def polarization_tensor(state: ManifoldState, order: int) -> PolarizationTensor:
         if r == order:
             for w, mat in stack.items():
                 values[tuple(i - 1 for i in w)] = np.trace(rho @ mat)
-    return PolarizationTensor(order, state.n_photons, values)
+    return PolarizationTensor(order, n_photons, values)
 
 
 def averaged_tensor(state, order: int) -> PolarizationTensor:

@@ -22,11 +22,22 @@ PROBABILITY_TOL = 1e-12
 TRUNCATION_TOL = 1e-10
 
 
+def check_finite(name: str, values):
+    """Reject NaN and infinite entries.
+
+    The range checks in this module compare with tolerances, and every
+    comparison with NaN is false, so without this a NaN passes them all.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite, not NaN or infinite")
+    return values
+
+
 def _as_complex_vector(values, dim: int) -> np.ndarray:
     v = np.asarray(values, dtype=complex)
     if v.shape != (dim,):
         raise ValueError(f"expected a vector of length {dim}, got shape {v.shape}")
-    return v
+    return check_finite("state vector", v)
 
 
 def check_density_matrix(matrix: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
@@ -34,6 +45,7 @@ def check_density_matrix(matrix: np.ndarray, tol: float = PSD_TOL) -> np.ndarray
     rho = np.asarray(matrix, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    check_finite("density matrix", rho)
     if np.abs(rho - rho.conj().T).max(initial=0.0) > tol:
         raise NonPhysicalStateError("density matrix is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
@@ -124,13 +136,14 @@ class BlockDiagonalState:
     truncation_deficit: float = 0.0
 
     def __post_init__(self):
+        check_finite("truncation deficit", self.truncation_deficit)
         seen = set()
         total = 0.0
         for n, p, state in self.blocks:
             if n in seen:
                 raise ValueError(f"duplicate manifold {n}")
             seen.add(n)
-            if p <= 0.0:
+            if check_finite(f"probability of manifold {n}", p) <= 0.0:
                 raise ValueError(f"manifold {n} has non-positive probability {p}")
             if state.n_photons != n:
                 raise ValueError(f"block state photon number {state.n_photons} mismatches label {n}")
@@ -183,6 +196,7 @@ class GeneralTwoModeState:
 
     def __post_init__(self):
         check_manifold(self.n_max)
+        check_finite("truncation deficit", self.truncation_deficit)
         if (self.amplitudes is None) == (self.matrix is None):
             raise ValueError("provide exactly one of amplitudes or matrix")
         if self.amplitudes is not None:
@@ -193,7 +207,7 @@ class GeneralTwoModeState:
                     raise ValueError(
                         f"occupation ({nh}, {nv}) outside the lattice (n_max={self.n_max})"
                     )
-                amp = complex(amp)
+                amp = check_finite(f"amplitude of ({nh}, {nv})", complex(amp))
                 if amp != 0:
                     clean[(int(nh), int(nv))] = amp
                     norm_sq += abs(amp) ** 2
@@ -273,6 +287,7 @@ def su2_coherent(n_photons: int, theta: float, phi: float) -> ManifoldState:
     exp(-i n phi) sqrt(C(N,n)) sin^(N-n)(theta/2) cos^n(theta/2).
     """
     n = check_manifold(n_photons)
+    check_finite("angles (theta, phi)", (theta, phi))
     vec = np.zeros(n + 1, dtype=complex)
     for nh in range(n + 1):
         vec[n - nh] = (
@@ -290,7 +305,7 @@ def two_mode_coherent(mean_photons: float, n_max: int) -> BlockDiagonalState:
     Fails when the Poisson tail beyond n_max exceeds 1e-10; kept weights are
     renormalized and the deficit recorded on the result.
     """
-    if mean_photons < 0:
+    if check_finite("mean photon number", mean_photons) < 0:
         raise ValueError("mean photon number must be non-negative")
     check_manifold(n_max)
     weights = [math.exp(-mean_photons + n * math.log(mean_photons) - math.lgamma(n + 1)) if mean_photons > 0 else (1.0 if n == 0 else 0.0) for n in range(n_max + 1)]
@@ -356,7 +371,7 @@ def tmsv(mean_photons: float, m_max: int, phases=None) -> GeneralTwoModeState:
     Amplitude on the m-pair ket is exp(i phase_m) sqrt(2 nbar^m / (2+nbar)^(m+1)).
     Pair phases default to zero; they drop out of the polarization sector.
     """
-    if mean_photons < 0:
+    if check_finite("mean photon number", mean_photons) < 0:
         raise ValueError("mean photon number must be non-negative")
     if m_max < 0:
         raise ValueError("m_max must be non-negative")

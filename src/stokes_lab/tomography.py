@@ -1,17 +1,20 @@
-"""Simulated direction measurements and order-by-order sector reconstruction.
+"""Simulated direction measurements and block-diagonal sector reconstruction.
 
 One measurement setting fixes a direction on the polarization sphere; each
 shot draws a joint outcome (total photon number, difference eigenvalue).
-Per-manifold moment estimates feed a constrained linear inversion for the
-moment components, tensors are assembled order by order, and each manifold
-density matrix is recovered by linear inversion with a physicality
-projection.
+Every per-manifold direction moment Tr(rho_N (d.S)^r) is linear in rho_N,
+so run_tomography recovers each manifold by one least-squares solve over
+all of its moments, followed by a physicality projection.  The paper's
+order-by-order route stays here as the reference it is checked against:
+a Casimir-constrained inversion for the moment components of each order
+(solve_moment_components), tensor assembly (assemble_all_tensors) and
+inversion of the complete tensor set (reconstruct_density).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -31,12 +34,15 @@ from .moments import (
     assemble_tensor,
     component_classes,
     independent_moment_count,
+    matrix_tensor,
     moment_component_count,
+    moment_components,
 )
 from .states import BlockDiagonalState, ManifoldState, as_block_diagonal
 
 RANK_TOL = 1e-12
 PHILOX_KEY_BOUND = 1 << 128
+SAMPLE_CHUNK = 1 << 20  # uniforms drawn per pass; bounds sampling memory
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +126,9 @@ def simulate_measurement(state, setting: MeasurementSetting) -> MeasurementRecor
 
     Shot i consumes the i-th uniform variate of a Philox stream keyed by
     the setting seed, so any worker partition of the shot range reproduces
-    the same record.
+    the same record.  The stream is drawn and binned SAMPLE_CHUNK variates
+    at a time, so memory stays flat in the shot count and the chunk size
+    does not change the record.
     """
     dist = outcome_distribution(state, setting.direction)
     outcomes = sorted(dist)
@@ -128,9 +136,10 @@ def simulate_measurement(state, setting: MeasurementSetting) -> MeasurementRecor
     edges = np.cumsum(probs)
     edges[-1] = 1.0
     gen = np.random.Generator(np.random.Philox(key=setting.seed))
-    draws = gen.random(setting.shots)
-    idx = np.searchsorted(edges, draws, side="right")
-    counts = np.bincount(idx, minlength=len(outcomes))
+    counts = np.zeros(len(outcomes), dtype=np.int64)
+    for start in range(0, setting.shots, SAMPLE_CHUNK):
+        draws = gen.random(min(SAMPLE_CHUNK, setting.shots - start))
+        counts += np.bincount(np.searchsorted(edges, draws, side="right"), minlength=len(outcomes))
     return MeasurementRecord(
         setting, {o: int(c) for o, c in zip(outcomes, counts) if c > 0}
     )
@@ -433,6 +442,32 @@ class SolveDiagnostics:
     n_free: int
 
 
+def _checked_design(directions, order: int):
+    """Design of one direction set and the SVD of its reduced form.
+
+    The reduced design acts on the free component subspace left by the
+    order-coupling constraints.  Returns (design, null-space basis,
+    (u, sv, vt), SolveDiagnostics with a zero residual).  A numerically
+    rank-deficient reduced design raises RankDeficientError naming the
+    unresolved component combinations.
+    """
+    n_free = independent_moment_count(order)
+    a = design_matrix(directions, order)
+    null = constraint_nullspace(order)
+    u, sv, vt = np.linalg.svd(a @ null, full_matrices=False)
+    rank = int((sv > sv[0] * RANK_TOL).sum()) if sv.size else 0
+    condition = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else math.inf
+    if rank < n_free:
+        raise RankDeficientError(
+            f"order-{order} design resolves only {rank} of {n_free} component combinations",
+            rank=rank,
+            expected=n_free,
+            condition_number=condition,
+            deficient_directions=(null @ vt[rank:].T).T,
+        )
+    return a, null, (u, sv, vt), SolveDiagnostics(condition, 0.0, rank, n_free)
+
+
 def _constraint_rhs(order: int, n_photons: int, lower_arrays: dict) -> np.ndarray:
     """Right-hand sides of the order-coupling constraints from lower tensors."""
     lower = component_classes(order - 2)
@@ -486,8 +521,6 @@ def solve_moment_components(
     values = np.asarray([float(v) for v in measured])
     if len(dirs) != len(values):
         raise ValueError("one measured moment per direction required")
-    n_free = independent_moment_count(order)
-    a = design_matrix(dirs, order)
     if order >= 2:
         lower_arrays = {}
         if order > 2:
@@ -500,34 +533,19 @@ def solve_moment_components(
                 q: np.asarray(t.values if isinstance(t, PolarizationTensor) else t)
                 for q, t in lower_tensors.items()
             }
-        b = casimir_constraint_matrix(order)
         rhs = _constraint_rhs(order, n_photons, lower_arrays)
-        particular, *_ = np.linalg.lstsq(b, rhs, rcond=None)
-        null = constraint_nullspace(order)
+        particular, *_ = np.linalg.lstsq(casimir_constraint_matrix(order), rhs, rcond=None)
     else:
         particular = np.zeros(moment_component_count(order))
-        null = np.eye(moment_component_count(order))
-    reduced = a @ null
-    u, sv, vt = np.linalg.svd(reduced, full_matrices=False)
-    rank = int((sv > sv[0] * RANK_TOL).sum()) if sv.size else 0
-    condition = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else math.inf
-    if rank < n_free:
-        deficient = (null @ vt[rank:].T).T
-        raise RankDeficientError(
-            f"order-{order} design resolves only {rank} of {n_free} component combinations",
-            rank=rank,
-            expected=n_free,
-            condition_number=condition,
-            deficient_directions=deficient,
-        )
+    a, null, (u, sv, vt), diagnostics = _checked_design(dirs, order)
     target = values - a @ particular
     solution = vt.T @ ((u.T @ target) / sv)
     x = particular + null @ solution
-    residual = float(np.linalg.norm(reduced @ solution - target))
+    residual = float(np.linalg.norm((a @ null) @ solution - target))
     components = MomentComponents(
         order, n_photons, dict(zip(component_classes(order), x))
     )
-    return components, SolveDiagnostics(condition, residual, rank, n_free)
+    return components, replace(diagnostics, residual=residual)
 
 
 def assemble_all_tensors(components_by_order: dict, n_photons: int) -> dict:
@@ -675,6 +693,53 @@ def _setting_seed(base_seed: int, index: int) -> int:
     return (base_seed << 32) + index
 
 
+def _solve_manifold(n_photons, probability, probability_error, measured, bases, design):
+    """Reconstruct one manifold from all of its direction moments at once.
+
+    measured maps each order r to (direction, moment) pairs.  The rows of
+    the least-squares system are the trace and vec((d.S)^r), with
+    (d.S)^r = U diag((N-2k)^r) U^dag from the rotated Fock basis U of d.
+    Every row and its moment are divided by the row norm, which is the same
+    for all directions of one order; unscaled, the high orders swamp the
+    low ones.  Components and tensors are those of the raw estimate; the
+    state is its physicality projection.  design holds each direction
+    set's diagnostics, completed here with that order's residual.
+    """
+    dim = n_photons + 1
+    spectrum = np.arange(n_photons, -n_photons - 1, -2, dtype=float)
+    rows, rhs, norms, row_orders = [np.eye(dim, dtype=complex).reshape(-1)], [1.0], [1.0], [0]
+    for r, pairs in measured.items():
+        powers = spectrum**r
+        norm = float(np.linalg.norm(powers))
+        for d, value in pairs:
+            u = bases[d][n_photons]
+            rows.append(((u * powers) @ u.conj().T).T.reshape(-1) / norm)
+            rhs.append(value / norm)
+            norms.append(norm)
+            row_orders.append(r)
+    a, b = np.array(rows), np.array(rhs, dtype=complex)
+    # unit-norm rows: the per-order designs' relative cut RANK_TOL applies here too
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_TOL)
+    if rank < dim * dim:
+        raise StokesLabError(
+            f"direction moments span only {rank} of {dim * dim} dimensions on manifold {n_photons}"
+        )
+    misfit, row_orders = (a @ x - b) * np.array(norms), np.array(row_orders)
+    raw = x.reshape(dim, dim)
+    projected, proj_diag = project_to_physical(raw)
+    tensors = {r: matrix_tensor(raw, n_photons, r) for r in measured}
+    return ManifoldReconstruction(
+        n_photons,
+        probability,
+        probability_error,
+        {r: moment_components(t) for r, t in tensors.items()},
+        tensors,
+        ManifoldState.mixed(n_photons, projected),
+        {r: replace(design[r], residual=float(np.linalg.norm(misfit[row_orders == r]))) for r in measured},
+        replace(proj_diag, system_rank=int(rank), lstsq_residual=float(np.linalg.norm(misfit))),
+    )
+
+
 def run_tomography(
     state,
     shots: int | None = None,
@@ -683,16 +748,20 @@ def run_tomography(
     max_order: int | None = None,
     min_counts: int = 10,
 ) -> ReconstructionResult:
-    """Measure, invert, assemble and reconstruct every populated manifold.
+    """Measure every populated manifold and invert its moments to a state.
 
     shots=None runs the exact-moment mode (no sampling).  Each unique
-    direction is measured once; per-manifold moment orders run from one to
-    the photon number.  Full reconstruction of a manifold needs all orders
-    up to its photon number, so manifolds beyond the order cap (default 6,
-    where dense tensors stay cheap) are skipped with a reason, as are
+    direction is measured once.  Manifold N is recovered from its moments
+    of orders one to N by one least-squares solve (_solve_manifold); the
+    order-by-order route of solve_moment_components, assemble_all_tensors
+    and reconstruct_density is kept as the reference it is checked
+    against.  Manifolds beyond the order cap (default 6, where the dense
+    tensors of the report stay small) are skipped with a reason, as are
     manifolds whose records hold fewer than min_counts samples.  If that
     leaves nothing to reconstruct, NoManifoldReconstructedError carries the
-    reasons.
+    reasons.  Each order that a solved manifold needs must have a direction
+    set that resolves its free components, or RankDeficientError says which
+    combinations it leaves open.
     """
     block = as_block_diagonal(state)
     populated = list(block.manifolds)
@@ -702,118 +771,67 @@ def run_tomography(
     order_cap = DEFAULT_ORDER_CAP if max_order is None else max_order
     deep_manifolds = {n for n in populated if n > order_cap}
     populated = [n for n in populated if n <= order_cap]
-
-    def orders_for(n):
-        return min(n, order_cap)
-
     if not populated:
         raise ValueError("every populated manifold exceeds the order cap")
-    top_order = max(orders_for(n) for n in populated)
-    sets = {
-        r: choose_directions(r, mode=direction_mode if r == 3 else "auto")
-        for r in range(1, top_order + 1)
-    }
-    unique: list[Direction] = []
-    seen = set()
-    for r in sorted(sets):
-        for d in sets[r].directions:
-            key = (d.x, d.y, d.z)
-            if key not in seen:
-                seen.add(key)
-                unique.append(d)
+    top = max(populated)
+    sets = {r: choose_directions(r, mode=direction_mode if r == 3 else "auto") for r in range(1, top + 1)}
+    unique = list(dict.fromkeys(d for dset in sets.values() for d in dset.directions))
     if not unique:
         # vacuum-only input: one setting still pins the photon distribution
         unique.append(Direction(0.0, 0.0, 1.0))
 
-    records = []
-    estimates = {}
-    manifold_counts: dict[int, int] = {}
+    records, estimates, counts = [], {}, {}
     if shots is None:
-        distributions = {(d.x, d.y, d.z): outcome_distribution(block, d) for d in unique}
+        distributions = {d: outcome_distribution(block, d) for d in unique}
         probabilities = {n: block.probability(n) for n in populated}
         prob_errors = {n: 0.0 for n in populated}
-        manifold_counts = {n: None for n in populated}
     else:
-        total_by_manifold: dict[int, int] = {}
         for i, d in enumerate(unique):
-            setting = MeasurementSetting(d, shots, _setting_seed(seed, i))
-            record = simulate_measurement(block, setting)
+            record = simulate_measurement(block, MeasurementSetting(d, shots, _setting_seed(seed, i)))
             records.append(record)
-            emp = estimate_moments(record, range(0, top_order + 1))
-            estimates[(d.x, d.y, d.z)] = emp
+            estimates[d] = estimate_moments(record, range(0, top + 1))
             for n, c in record.manifold_totals().items():
-                total_by_manifold[n] = total_by_manifold.get(n, 0) + c
+                counts[n] = counts.get(n, 0) + c
         grand_total = shots * len(unique)
-        probabilities = {n: c / grand_total for n, c in total_by_manifold.items()}
-        prob_errors = {
-            n: math.sqrt(p * (1 - p) / grand_total) for n, p in probabilities.items()
-        }
-        manifold_counts = total_by_manifold
+        probabilities = {n: c / grand_total for n, c in counts.items()}
+        prob_errors = {n: math.sqrt(p * (1 - p) / grand_total) for n, p in probabilities.items()}
 
     def measured_moment(direction: Direction, n_photons: int, order: int):
-        key = (direction.x, direction.y, direction.z)
         if shots is None:
-            return distribution_moment(distributions[key], order, n_photons)
-        est = estimates[key].moment(n_photons, order)
+            return distribution_moment(distributions[direction], order, n_photons)
+        est = estimates[direction].moment(n_photons, order)
         return None if est is None else est.value
 
-    results = {}
+    solvable = {}
     skipped = {
         n: f"photon number exceeds the order cap {order_cap}; raise max_order"
         for n in sorted(deep_manifolds)
     }
     for n in sorted(populated):
-        if shots is not None and manifold_counts.get(n, 0) < min_counts:
-            skipped[n] = f"only {manifold_counts.get(n, 0)} samples across settings"
+        if shots is not None and counts.get(n, 0) < min_counts:
+            skipped[n] = f"only {counts.get(n, 0)} samples across settings"
             continue
-        if n == 0:
-            state0, diag0 = reconstruct_density({}, 0)
-            results[0] = ManifoldReconstruction(
-                0, probabilities.get(0, 0.0), prob_errors.get(0, 0.0), {}, {}, state0, {}, diag0
-            )
+        measured = {
+            r: [(d, measured_moment(d, n, r)) for d in sets[r].directions] for r in range(1, n + 1)
+        }
+        unsampled = [sets[r].label for r, pairs in measured.items() if any(v is None for _, v in pairs)]
+        if unsampled:
+            skipped[n] = f"no samples for manifold {n} along {unsampled[0]}"
             continue
-        orders = range(1, orders_for(n) + 1)
-        components = {}
-        tensors: dict[int, PolarizationTensor] = {}
-        diagnostics = {}
-        failed = None
-        for r in orders:
-            dset = sets[r]
-            values = []
-            for d in dset.directions:
-                v = measured_moment(d, n, r)
-                if v is None:
-                    failed = f"no samples for manifold {n} along {dset.label}"
-                    break
-                values.append(v)
-            if failed:
-                break
-            comp, diag = solve_moment_components(
-                dset.directions, values, n, r, lower_tensors=tensors if r > 2 else None
-            )
-            components[r] = comp
-            diagnostics[r] = diag
-            tensors.update(assemble_all_tensors({q: components[q] for q in components}, n))
-        if failed:
-            skipped[n] = failed
-            continue
-        rho, rec_diag = reconstruct_density(tensors, n)
-        results[n] = ManifoldReconstruction(
-            n,
-            probabilities.get(n, 0.0),
-            prob_errors.get(n, 0.0),
-            components,
-            tensors,
-            rho,
-            diagnostics,
-            rec_diag,
-        )
-    if not results:
+        solvable[n] = measured
+    if not solvable:
         raise NoManifoldReconstructedError(
             f"every populated manifold was skipped: {skipped}", skipped=skipped
         )
+    # only the orders and rotated bases of manifolds that are solved
+    need = max(solvable)
+    design = {r: _checked_design(sets[r].directions, r)[3] for r in range(1, need + 1)}
+    bases = {d: rotated_fock_bases(d, need) for r in design for d in sets[r].directions}
     return ReconstructionResult(
-        manifolds=results,
+        manifolds={
+            n: _solve_manifold(n, probabilities.get(n, 0.0), prob_errors.get(n, 0.0), m, bases, design)
+            for n, m in solvable.items()
+        },
         skipped=skipped,
         shots=shots,
         seed=None if shots is None else seed,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stokes_lab import checks
 from stokes_lab.cli import main
 from stokes_lab.closed_forms import noon_profile
 from stokes_lab.serialize import state_from_json
@@ -140,10 +141,24 @@ def test_tomography_every_manifold_skipped_fails_with_reasons(capsys):
     assert "2: 'only 8 samples across settings'" in err
 
 
-def test_verify_suites_pass(capsys):
-    code, out, _ = run_cli(capsys, "verify", "algebra")
+@pytest.mark.parametrize("suite", sorted(checks.SUITES))
+def test_verify_suites_pass(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", suite)
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_state_file_with_non_finite_number_rejected(capsys, tmp_path, literal):
+    path = tmp_path / "state.json"
+    path.write_text(
+        '{"type": "custom", "params": {}, "truncation_deficit": 0.0, "blocks": '
+        f'[{{"N": 1, "pN": {literal}, "vector": [[1.0, 0.0], [0.0, 0.0]]}}]}}'
+    )
+    code, out, err = run_cli(capsys, "tomography", "--state", str(path), "--shots", "inf")
+    assert code == 1
+    assert out == ""
+    assert f"non-finite number {literal}" in err
 
 
 def test_verify_unknown_suite_rejected(capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stokes_lab.errors import NonPhysicalStateError, TruncationError
 from stokes_lab.fock import EulerAngles, rotation_matrix, stokes_in_direction, su2_unitary
@@ -481,3 +482,53 @@ def test_degree_of_polarization_examples():
 
 def test_stokes_vector_mean_of_polar_state():
     np.testing.assert_allclose(stokes_vector_mean(su2_coherent(4, 0.0, 0.0)), [0, 0, 4], atol=1e-12)
+
+
+# any float that is not finite: NaN or either infinity
+non_finite = st.floats(allow_nan=True, allow_infinity=True).map(
+    lambda v: v if not math.isfinite(v) else math.nan
+)
+
+
+@given(non_finite, st.integers(0, 1), st.booleans())
+def test_manifold_state_rejects_non_finite_entries(bad, index, imaginary):
+    entry = complex(0.0, bad) if imaginary else bad
+    amplitudes = [1.0, 0.0]
+    amplitudes[index] = entry
+    with pytest.raises(ValueError, match="finite"):
+        ManifoldState.pure(1, amplitudes)
+    matrix = [[0.5, 0.0], [0.0, 0.5]]
+    matrix[index][1 - index] = entry
+    with pytest.raises(ValueError, match="finite"):
+        ManifoldState.mixed(1, matrix)
+
+
+@given(non_finite)
+def test_block_state_rejects_non_finite_weights(bad):
+    s1, s2 = ManifoldState.fock(1, 0), ManifoldState.fock(2, 0)
+    with pytest.raises(ValueError, match="finite"):
+        BlockDiagonalState(((1, 0.5, s1), (2, bad, s2)))
+    with pytest.raises(ValueError, match="finite"):
+        BlockDiagonalState(((1, 1.0, s1),), truncation_deficit=bad)
+    with pytest.raises(ValueError, match="finite"):
+        GeneralTwoModeState(2, {(1, 0): 1.0}, truncation_deficit=bad)
+    with pytest.raises(ValueError, match="finite"):
+        GeneralTwoModeState(2, {(1, 0): 1.0, (0, 1): bad})
+
+
+@given(non_finite, st.floats(0.0, 2.0 * math.pi), st.booleans())
+def test_family_constructors_reject_non_finite_parameters(bad, good, bad_theta):
+    theta, phi = (bad, good) if bad_theta else (good, bad)
+    with pytest.raises(ValueError, match="finite"):
+        su2_coherent(2, theta, phi)
+    with pytest.raises(ValueError, match="finite"):
+        two_mode_coherent(bad, 5)
+    with pytest.raises(ValueError, match="finite"):
+        tmsv(bad, 3)
+
+
+def test_state_from_json_rejects_non_finite_probability():
+    payload = state_to_json(noon(2))
+    payload["blocks"][0]["pN"] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        state_from_json(payload)

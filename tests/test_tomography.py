@@ -1,8 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stokes_lab import tomography
 from stokes_lab.errors import NoManifoldReconstructedError, NonPhysicalStateError, RankDeficientError
 from stokes_lab.fock import Direction, as_direction, stokes_in_direction
 from stokes_lab.moments import (
@@ -128,6 +130,32 @@ class TestSimulation:
         a = simulate_measurement(noon(2), setting)
         b = simulate_measurement(noon(2), setting)
         assert a.counts == b.counts
+
+    @pytest.mark.parametrize("chunk", [1, 7, 500])
+    def test_chunk_size_leaves_the_record_unchanged(self, monkeypatch, chunk):
+        state = su2_coherent(3, 0.8, 0.3)
+        setting = MeasurementSetting(E1, 500, 31)
+        # reference: the whole Philox stream drawn and binned at once
+        dist = outcome_distribution(state, E1)
+        outcomes = sorted(dist)
+        edges = np.cumsum([dist[o] for o in outcomes])
+        edges[-1] = 1.0
+        draws = np.random.Generator(np.random.Philox(key=31)).random(500)
+        counts = np.bincount(np.searchsorted(edges, draws, side="right"), minlength=len(outcomes))
+        want = {o: int(c) for o, c in zip(outcomes, counts) if c > 0}
+        monkeypatch.setattr(tomography, "SAMPLE_CHUNK", chunk)
+        assert simulate_measurement(state, setting).counts == want
+
+    def test_sampling_memory_does_not_grow_with_shots(self, monkeypatch):
+        monkeypatch.setattr(tomography, "SAMPLE_CHUNK", 1 << 10)
+        tracemalloc.start()
+        try:
+            simulate_measurement(noon(2), MeasurementSetting(E1, 1 << 18, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # drawing all 2^18 uniforms at once would take 2 MiB for them alone
+        assert peak < 1 << 18
 
     def test_different_seeds_differ(self):
         a = simulate_measurement(noon(2), MeasurementSetting(E1, 5000, 1))
@@ -423,6 +451,17 @@ class TestPipeline:
         with pytest.raises(RankDeficientError):
             run_tomography(state, direction_mode="symmetric7")
 
+    def test_rank_deficient_set_only_checked_where_it_is_needed(self, rng):
+        # the third-order set matters only if a manifold with N >= 3 is solved;
+        # here the N = 3 block draws too few samples and is skipped
+        blocks = (
+            (1, 1 - 1e-9, ManifoldState.mixed(1, random_density(1, rng))),
+            (3, 1e-9, ManifoldState.mixed(3, random_density(3, rng))),
+        )
+        result = run_tomography(BlockDiagonalState(blocks), shots=2000, seed=4, direction_mode="symmetric7")
+        assert list(result.manifolds) == [1]
+        assert "samples" in result.skipped[3]
+
     def test_max_order_caps_reconstruction_inputs(self, rng):
         state = ManifoldState.mixed(1, random_density(1, rng))
         result = run_tomography(state, max_order=1)
@@ -445,11 +484,33 @@ class TestPipeline:
         assert "samples" in info.value.skipped[2]
 
     def test_exact_round_trip_through_generic_sets(self, rng):
-        # manifolds four to six exercise the searched direction sets end to end
-        for n in (4, 5):
+        # manifolds four to eight exercise the searched direction sets end to
+        # end; order-r outputs carry rounding noise that scales as N^r
+        for n, max_order in ((4, None), (5, None), (6, None), (8, 8)):
             state = ManifoldState.mixed(n, random_density(n, rng))
-            result = run_tomography(state)
-            assert trace_distance(result.manifolds[n].state.density(), state.density()) <= 1e-7
+            rec = run_tomography(state, max_order=max_order).manifolds[n]
+            assert trace_distance(rec.state.density(), state.density()) <= 1e-7
+            for r in range(1, n + 1):
+                tol = 1e-11 * n**r
+                np.testing.assert_allclose(
+                    rec.tensors[r].values, polarization_tensor(state, r).values, rtol=0, atol=tol
+                )
+                np.testing.assert_allclose(
+                    rec.components[r].as_vector(),
+                    components_from_state(state, r).as_vector(),
+                    rtol=0,
+                    atol=tol,
+                )
+
+    def test_pipeline_does_not_take_the_reference_route(self, monkeypatch, rng):
+        def reference_route(*args, **kwargs):
+            raise AssertionError("run_tomography took the order-by-order reference route")
+
+        for name in ("solve_moment_components", "_constraint_rhs", "assemble_all_tensors", "reconstruct_density"):
+            monkeypatch.setattr(tomography, name, reference_route)
+        state = ManifoldState.mixed(3, random_density(3, rng))
+        assert 3 in run_tomography(state).manifolds
+        assert 3 in run_tomography(state, shots=5000, seed=2).manifolds
 
     def test_vacuum_only_input(self):
         vacuum = ManifoldState.fock(0, 0)
