@@ -49,42 +49,41 @@ def _parse_state_spec(spec: str):
     return _build_family(family.strip(), params), family.strip(), params
 
 
+# family -> (constructor, its parameters in call order with their defaults);
+# a default of None marks a required parameter
+_FAMILIES = {
+    "noon": (states.noon, {"n": None}),
+    "su2": (states.su2_coherent, {"n": None, "theta": 0.0, "phi": 0.0}),
+    "twinfock": (states.twin_fock, {"m": None}),
+    "coherent": (states.two_mode_coherent, {"nbar": None, "nmax": 40}),
+    "tmsv": (states.tmsv, {"nbar": None, "mmax": 20}),
+    "unpolarized": (states.unpolarized_two_photon, {"a": None, "theta": 0.0}),
+}
+_INTEGER_PARAMS = {"n", "m", "nmax", "mmax"}
+
+
 def _build_family(family: str, params: dict):
-    if family == "noon":
-        return as_block_diagonal(states.noon(int(params["n"])))
-    if family == "su2":
-        return as_block_diagonal(
-            states.su2_coherent(int(params["n"]), float(params.get("theta", 0.0)), float(params.get("phi", 0.0)))
-        )
-    if family == "twinfock":
-        return as_block_diagonal(states.twin_fock(int(params["m"])))
-    if family == "coherent":
-        return states.two_mode_coherent(float(params["nbar"]), int(params.get("nmax", 40)))
-    if family == "tmsv":
-        return as_block_diagonal(states.tmsv(float(params["nbar"]), int(params.get("mmax", 20))))
-    if family == "unpolarized":
-        return as_block_diagonal(
-            states.unpolarized_two_photon(float(params["a"]), float(params.get("theta", 0.0)))
-        )
-    raise ValueError(f"unknown state family {family!r}")
+    """Check a family's parameters by name and type, then build the state."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown state family {family!r}")
+    build, defaults = _FAMILIES[family]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"state family {family!r} takes no parameter {', '.join(unknown)}")
+    values = []
+    for key, default in defaults.items():
+        value = params.get(key, default)
+        if value is None:
+            raise ValueError(f"state family {family!r} needs the parameter {key}")
+        if key in _INTEGER_PARAMS and not isinstance(value, int):
+            raise ValueError(f"parameter {key} must be an integer, got {value!r}")
+        values.append(value if key in _INTEGER_PARAMS else float(value))
+    return as_block_diagonal(build(*values))
 
 
 def _family_from_args(args) -> tuple:
-    family = args.family
-    params = {}
-    if family == "noon":
-        params = {"n": args.n}
-    elif family == "su2":
-        params = {"n": args.n, "theta": args.theta, "phi": args.phi}
-    elif family == "twinfock":
-        params = {"m": args.m}
-    elif family == "coherent":
-        params = {"nbar": args.nbar, "nmax": args.nmax}
-    elif family == "tmsv":
-        params = {"nbar": args.nbar, "mmax": args.mmax}
-    elif family == "unpolarized":
-        params = {"a": args.a, "theta": args.theta}
-    return _build_family(family, params), family, params
+    params = {key: getattr(args, key) for key in _FAMILIES[args.family][1]}
+    return _build_family(args.family, params), args.family, params
 
 
 def _emit(payload, out_path: str | None) -> None:

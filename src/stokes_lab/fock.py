@@ -8,6 +8,7 @@ operator is diagonal with descending eigenvalues N, N-2, ..., -N.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -100,11 +101,6 @@ class Direction:
         """(theta, phi) with theta = arccos(z)."""
         return math.acos(min(1.0, max(-1.0, self.z))), math.atan2(self.y, self.x)
 
-    def euler_angles(self) -> EulerAngles:
-        """Euler angles (phi, theta, 0) that rotate the z-axis onto this direction."""
-        theta, phi = self.spherical()
-        return EulerAngles(phi, theta, 0.0)
-
     def opposite(self) -> "Direction":
         return Direction(-self.x, -self.y, -self.z)
 
@@ -171,11 +167,9 @@ def rotated_fock_bases(n, n_max: int) -> list[np.ndarray]:
     the rotation that takes the z-axis onto n, i.e. the eigenvector of
     n . S with eigenvalue exactly N-2k.  The single-photon rotation has
     columns (c, e^{i phi} s) and (-e^{-i phi} s, c) with c = sqrt((1+z)/2),
-    s = sqrt((1-z)/2) and e^{i phi} the phase of x+iy.  Manifold N follows
-    from N-1 by splitting one photon off both the row and the column Fock
-    state; that map is a contraction, so rounding errors add up instead of
-    growing from level to level.  Along +-z every basis is a signed
-    permutation with exact zeros, so no spurious outcomes appear there.
+    s = sqrt((1-z)/2) and e^{i phi} the phase of x+iy.  Along +-z every
+    basis is a signed permutation with exact zeros, so no spurious outcomes
+    appear there.
     """
     d = as_direction(n)
     n_max = check_manifold(n_max)
@@ -183,48 +177,50 @@ def rotated_fock_bases(n, n_max: int) -> list[np.ndarray]:
     s = math.sqrt(max(0.0, (1.0 - d.z) / 2.0))
     rho = math.hypot(d.x, d.y)
     phase = complex(d.x, d.y) / rho if rho > 0.0 else 1.0
-    hh, vh = c, phase * s  # image of the horizontal photon
-    hv, vv = -phase.conjugate() * s, c  # image of the vertical photon
+    return multiphoton_actions(c, phase * s, -phase.conjugate() * s, c, n_max)
+
+
+def multiphoton_actions(hh, vh, hv, vv, n_max: int) -> list[np.ndarray]:
+    """Matrices of a single-photon map on the manifolds 0..n_max.
+
+    The map sends |H> to hh|H> + vh|V> and |V> to hv|H> + vv|V>; entry N
+    is its action on the N-photon manifold in the |N-k, k> basis.
+    Manifold N follows from N-1 by splitting one photon off both the row
+    and the column Fock state.  For a unitary map each step is a
+    contraction, so rounding errors add up instead of growing from level
+    to level.
+    """
     roots = np.sqrt(np.arange(n_max + 1, dtype=float))
-    bases = [np.ones((1, 1), dtype=complex)]
+    levels = [np.ones((1, 1), dtype=complex)]
     for n_photons in range(1, n_max + 1):
         # |N-k,k> = sqrt((N-k)/N) |H>|N-1-k,k> + sqrt(k/N) |V>|N-k,k-1>:
         # split the column state first, then the row state
         h = roots[n_photons::-1]
         v = roots[: n_photons + 1]
         padded = np.zeros((n_photons, n_photons + 2), dtype=complex)
-        padded[:, 1:-1] = bases[-1]
+        padded[:, 1:-1] = levels[-1]
         from_h = padded[:, 1:] * h
         from_v = padded[:, :-1] * v
-        basis = np.zeros((n_photons + 1, n_photons + 1), dtype=complex)
-        basis[:-1] = h[:-1, None] * (hh * from_h + hv * from_v)
-        basis[1:] += v[1:, None] * (vh * from_h + vv * from_v)
-        bases.append(basis / n_photons)
-    return bases
-
-
-@lru_cache(maxsize=None)
-def _generator_eigensystem(index: int, n_photons: int):
-    evals, evecs = np.linalg.eigh(_stokes_cached(index, n_photons))
-    evals.setflags(write=False)
-    evecs.setflags(write=False)
-    return evals, evecs
-
-
-def _half_angle_exp(index: int, angle: float, n_photons: int) -> np.ndarray:
-    """exp(-i * angle * S_index / 2) via spectral decomposition of the generator."""
-    if index == 3:
-        diag = np.exp(-0.5j * angle * np.array([n_photons - 2 * k for k in range(n_photons + 1)]))
-        return np.diag(diag)
-    evals, evecs = _generator_eigensystem(index, n_photons)
-    return (evecs * np.exp(-0.5j * angle * evals)) @ evecs.conj().T
+        level = np.zeros((n_photons + 1, n_photons + 1), dtype=complex)
+        level[:-1] = h[:-1, None] * (hh * from_h + hv * from_v)
+        level[1:] += v[1:, None] * (vh * from_h + vv * from_v)
+        levels.append(level / n_photons)
+    return levels
 
 
 def su2_unitary(angles, n_photons: int) -> np.ndarray:
-    """Linear-optics unitary exp(-i phi S3/2) exp(-i theta S2/2) exp(-i xi S3/2)."""
+    """Linear-optics unitary exp(-i phi S3/2) exp(-i theta S2/2) exp(-i xi S3/2).
+
+    It is the N-photon action of the same product of 2x2 matrices on one
+    photon, so it needs no diagonalization.
+    """
     phi, theta, xi = angles
     n = check_manifold(n_photons)
-    return _half_angle_exp(3, phi, n) @ _half_angle_exp(2, theta, n) @ _half_angle_exp(3, xi, n)
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    left = np.diag([cmath.exp(-0.5j * phi), cmath.exp(0.5j * phi)])
+    right = np.diag([cmath.exp(-0.5j * xi), cmath.exp(0.5j * xi)])
+    u = left @ np.array([[c, -s], [s, c]]) @ right
+    return multiphoton_actions(u[0, 0], u[1, 0], u[0, 1], u[1, 1], n)[n]
 
 
 def rotation_matrix(axis: int, angle: float) -> np.ndarray:

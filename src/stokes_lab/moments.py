@@ -111,7 +111,7 @@ class PolarizationTensor:
         """Entry by 1-based subscripts."""
         return complex(self.values[tuple(j - 1 for j in indices)])
 
-    def check_hermiticity(self, tol: float = 1e-10) -> float:
+    def check_hermiticity(self) -> float:
         """Max deviation from the reversal-conjugation symmetry."""
         rev = np.transpose(self.values, axes=tuple(reversed(range(self.order))))
         return float(np.abs(self.values - rev.conj()).max())
@@ -152,29 +152,31 @@ def polarization_tensor(state: ManifoldState, order: int) -> PolarizationTensor:
     return matrix_tensor(state.density(), state.n_photons, order)
 
 
+def _word_products(gens: np.ndarray, length: int) -> np.ndarray:
+    """Stacked products of every word of one length, leftmost subscript slowest."""
+    dim = gens.shape[-1]
+    words = np.eye(dim, dtype=complex)[None]
+    for _ in range(length):
+        words = (words[:, None] @ gens).reshape(-1, dim, dim)
+    return words
+
+
 def matrix_tensor(rho: np.ndarray, n_photons: int, order: int) -> PolarizationTensor:
     """Tr(rho S_i1 ... S_ir) for every index word of one rank.
 
     rho is any matrix on the manifold, not necessarily a physical state:
     tomography reports the tensors of its raw linear-inversion estimate.
+    Each word splits into a left half u and a right half w, so the whole
+    tensor is one matrix product, Tr(rho P_u P_w) = sum_ab (rho P_u)_ab
+    (P_w)_ba, between two stacks of about 3^(r/2) half-word products.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    gens = stokes_vector_operators(n_photons)
-    dim = n_photons + 1
-    values = np.zeros((3,) * order, dtype=complex)
-    # grow products left to right so prefixes are shared
-    stack: dict[tuple, np.ndarray] = {(): np.eye(dim, dtype=complex)}
-    for r in range(1, order + 1):
-        nxt = {}
-        for w, mat in stack.items():
-            for j in (1, 2, 3):
-                nxt[w + (j,)] = mat @ gens[j - 1]
-        stack = nxt
-        if r == order:
-            for w, mat in stack.items():
-                values[tuple(i - 1 for i in w)] = np.trace(rho @ mat)
-    return PolarizationTensor(order, n_photons, values)
+    gens = np.stack(stokes_vector_operators(n_photons))
+    left = rho @ _word_products(gens, (order + 1) // 2)
+    right = _word_products(gens, order // 2).transpose(0, 2, 1)
+    values = left.reshape(len(left), -1) @ right.reshape(len(right), -1).T
+    return PolarizationTensor(order, n_photons, values.reshape((3,) * order))
 
 
 def averaged_tensor(state, order: int) -> PolarizationTensor:
@@ -186,24 +188,32 @@ def averaged_tensor(state, order: int) -> PolarizationTensor:
     return PolarizationTensor(order, None, total)
 
 
+def _class_labels(order: int) -> np.ndarray:
+    """Position in component_classes(order) of each flat tensor index."""
+    digits = np.indices((3,) * order).reshape(order, -1)
+    ones = (digits == 0).sum(axis=0)
+    twos = (digits == 1).sum(axis=0)
+    return ones * (order + 1) - ones * (ones - 1) // 2 + twos
+
+
 def moment_components(tensor: PolarizationTensor, imag_tol: float = IMAG_RESIDUE_TOL) -> MomentComponents:
     """Sum each permutation class of tensor elements into a real coefficient.
 
     The imaginary parts must cancel; a residue beyond tolerance signals a
     broken tensor and raises.
     """
-    scale = max(1.0, float(np.abs(tensor.values).max(initial=0.0)))
-    out = {}
-    for ones, twos in component_classes(tensor.order):
-        total = 0.0 + 0j
-        for w in wordalg.class_words(ones, twos, tensor.order):
-            total += tensor.element(w)
-        if abs(total.imag) > imag_tol * scale:
+    classes = component_classes(tensor.order)
+    labels = _class_labels(tensor.order)
+    flat = tensor.values.reshape(-1)
+    real = np.bincount(labels, weights=flat.real, minlength=len(classes))
+    imag = np.bincount(labels, weights=flat.imag, minlength=len(classes))
+    scale = max(1.0, float(np.abs(flat).max(initial=0.0)))
+    for (ones, twos), residue in zip(classes, imag):
+        if abs(residue) > imag_tol * scale:
             raise TensorConsistencyError(
-                f"class ({ones},{twos}) of order {tensor.order} has imaginary residue {total.imag:.3e}"
+                f"class ({ones},{twos}) of order {tensor.order} has imaginary residue {residue:.3e}"
             )
-        out[(ones, twos)] = total.real
-    return MomentComponents(tensor.order, tensor.n_photons, out)
+    return MomentComponents(tensor.order, tensor.n_photons, dict(zip(classes, real)))
 
 
 def components_from_state(state: ManifoldState, order: int) -> MomentComponents:
@@ -302,14 +312,6 @@ def degree_of_polarization(state) -> float:
     if mean_photons <= 0.0:
         raise ValueError("degree of polarization is undefined for the vacuum")
     return float(np.linalg.norm(stokes_vector_mean(block)) / mean_photons)
-
-
-def manifold_degree_of_polarization(state: ManifoldState) -> float:
-    """Per-manifold variant of the first-order polarization measure."""
-    if state.n_photons == 0:
-        raise ValueError("degree of polarization is undefined for the vacuum manifold")
-    mean = stokes_vector_mean(BlockDiagonalState.single(state))
-    return float(np.linalg.norm(mean) / state.n_photons)
 
 
 def covariance_matrix(state, n_photons: int | None = None) -> np.ndarray:

@@ -72,16 +72,31 @@ def state_to_json(state, family: str | None = None, params: dict | None = None) 
     }
 
 
+def _field(payload, key: str, where: str):
+    if not isinstance(payload, dict) or key not in payload:
+        raise ValueError(f"{where} has no {key!r} field")
+    return payload[key]
+
+
 def state_from_json(payload) -> BlockDiagonalState:
+    """Read a state_to_json payload; a malformed one raises ValueError."""
     blocks = []
-    for entry in payload["blocks"]:
-        n = int(entry["N"])
-        if "vector" in entry:
-            state = ManifoldState.pure(n, _vector_back(entry["vector"]))
-        else:
-            state = ManifoldState.mixed(n, _matrix_back(entry["matrix"]))
-        blocks.append((n, float(entry["pN"]), state))
-    return BlockDiagonalState(tuple(blocks), truncation_deficit=float(payload.get("truncation_deficit", 0.0)))
+    try:
+        for i, entry in enumerate(_field(payload, "blocks", "state")):
+            where = f"state block {i}"
+            n = int(_field(entry, "N", where))
+            probability = float(_field(entry, "pN", where))
+            if "vector" in entry:
+                state = ManifoldState.pure(n, _vector_back(entry["vector"]))
+            elif "matrix" in entry:
+                state = ManifoldState.mixed(n, _matrix_back(entry["matrix"]))
+            else:
+                raise ValueError(f"{where} has neither a 'vector' nor a 'matrix' field")
+            blocks.append((n, probability, state))
+        deficit = float(payload.get("truncation_deficit", 0.0))
+    except TypeError as exc:
+        raise ValueError(f"malformed state: {exc}") from exc
+    return BlockDiagonalState(tuple(blocks), truncation_deficit=deficit)
 
 
 def tensor_to_json(tensor: PolarizationTensor) -> dict:
@@ -94,28 +109,12 @@ def tensor_to_json(tensor: PolarizationTensor) -> dict:
     }
 
 
-def tensor_from_json(payload) -> PolarizationTensor:
-    order = int(payload["order"])
-    values = _vector_back(payload["entries"]).reshape((3,) * order)
-    n = payload.get("N")
-    return PolarizationTensor(order, None if n is None else int(n), values)
-
-
 def components_to_json(components: MomentComponents) -> dict:
     return {
         "order": components.order,
         "N": components.n_photons,
         "values": {f"{k},{l}": components.values[(k, l)] for k, l in component_classes(components.order)},
     }
-
-
-def components_from_json(payload) -> MomentComponents:
-    values = {}
-    for key, v in payload["values"].items():
-        k, l = key.split(",")
-        values[(int(k), int(l))] = float(v)
-    n = payload.get("N")
-    return MomentComponents(int(payload["order"]), None if n is None else int(n), values)
 
 
 def record_to_json(record: MeasurementRecord) -> dict:

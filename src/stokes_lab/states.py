@@ -33,6 +33,12 @@ def check_finite(name: str, values):
     return values
 
 
+def check_truncation_deficit(value):
+    """Reject a dropped probability mass that is non-finite or outside [0, 1)."""
+    if not 0.0 <= check_finite("truncation deficit", value) < 1.0:
+        raise ValueError(f"truncation deficit must lie in [0, 1), got {value!r}")
+
+
 def _as_complex_vector(values, dim: int) -> np.ndarray:
     v = np.asarray(values, dtype=complex)
     if v.shape != (dim,):
@@ -136,7 +142,7 @@ class BlockDiagonalState:
     truncation_deficit: float = 0.0
 
     def __post_init__(self):
-        check_finite("truncation deficit", self.truncation_deficit)
+        check_truncation_deficit(self.truncation_deficit)
         seen = set()
         total = 0.0
         for n, p, state in self.blocks:
@@ -196,7 +202,7 @@ class GeneralTwoModeState:
 
     def __post_init__(self):
         check_manifold(self.n_max)
-        check_finite("truncation deficit", self.truncation_deficit)
+        check_truncation_deficit(self.truncation_deficit)
         if (self.amplitudes is None) == (self.matrix is None):
             raise ValueError("provide exactly one of amplitudes or matrix")
         if self.amplitudes is not None:

@@ -63,9 +63,6 @@ class MeasurementSetting:
         if not 0 <= self.seed < PHILOX_KEY_BOUND:
             raise ValueError("seed must fit a 128-bit counter-based RNG key")
 
-    def euler_angles(self):
-        return self.direction.euler_angles()
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -201,9 +198,6 @@ class DirectionSet:
     directions: tuple
     tags: tuple = ()
     rank_deficient: bool = False
-
-    def arrays(self):
-        return [d.as_array() for d in self.directions]
 
 
 def axes_directions() -> DirectionSet:

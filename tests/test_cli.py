@@ -161,6 +161,44 @@ def test_state_file_with_non_finite_number_rejected(capsys, tmp_path, literal):
     assert f"non-finite number {literal}" in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("noon:", "needs the parameter n"),
+        ("noon:n=2.7", "must be an integer"),
+        ("noon:n=2,m=5", "takes no parameter m"),
+    ],
+)
+def test_malformed_state_spec_rejected(capsys, spec, message):
+    code, out, err = run_cli(capsys, "tomography", "--state", spec, "--shots", "inf")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+BLOCK = {"N": 1, "pN": 1.0, "vector": [[1.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"type": "custom"}, "no 'blocks' field"),
+        ({"blocks": [{k: v for k, v in BLOCK.items() if k != "N"}]}, "no 'N' field"),
+        ({"blocks": [{k: v for k, v in BLOCK.items() if k != "pN"}]}, "no 'pN' field"),
+        ({"blocks": [{"N": 1, "pN": 1.0}]}, "neither a 'vector' nor a 'matrix'"),
+        ({"blocks": 5}, "malformed state"),
+        ({"blocks": [BLOCK], "truncation_deficit": -5}, "truncation deficit must lie in [0, 1)"),
+    ],
+)
+def test_malformed_state_file_rejected(capsys, tmp_path, payload, message):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "tomography", "--state", str(path), "--shots", "inf")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])

@@ -154,6 +154,25 @@ def test_su2_carries_photon_difference_to_direction(rng):
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+def eigh_half_angle_exp(index, angle, n):
+    """exp(-i angle S_index / 2) through the spectral decomposition of the generator."""
+    evals, evecs = np.linalg.eigh(stokes_operator(index, n))
+    return (evecs * np.exp(-0.5j * angle * evals)) @ evecs.conj().T
+
+
+def test_su2_matches_eigh_exponential_oracle(rng):
+    # theta runs well outside [0, pi], where the half angles change sign
+    for n in range(13):
+        for theta in (-2.5, 0.0, 1.3, 4.0, 7.5):
+            phi, xi = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
+            oracle = (
+                eigh_half_angle_exp(3, phi, n)
+                @ eigh_half_angle_exp(2, theta, n)
+                @ eigh_half_angle_exp(3, xi, n)
+            )
+            np.testing.assert_allclose(su2_unitary((phi, theta, xi), n), oracle, rtol=0, atol=1e-12)
+
+
 def test_su2_half_turn_against_series_oracle():
     u = su2_unitary((0.0, np.pi, 0.0), 1)
     oracle = series_expm(-0.5j * np.pi * np.asarray(stokes_operator(2, 1)))

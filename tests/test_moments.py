@@ -159,6 +159,18 @@ class TestMomentComponents:
         assert comp[(1, 1)] == pytest.approx(total.real, abs=1e-10)
         assert abs(total.imag) < 1e-10
 
+    def test_class_sums_equal_sums_over_class_words(self, rng):
+        # the flat-index labelling adds each class in word order, so the
+        # components are bit-equal to summing the enumerated permutations
+        for n, r in ((1, 1), (2, 2), (3, 3), (2, 4), (4, 5), (3, 6), (5, 7)):
+            tensor = polarization_tensor(ManifoldState.mixed(n, random_density(n, rng)), r)
+            comp = moment_components(tensor)
+            for ones, twos in component_classes(r):
+                total = 0.0 + 0j
+                for w in wordalg.class_words(ones, twos, r):
+                    total += tensor.element(w)
+                assert comp[(ones, twos)] == total.real
+
     def test_imaginary_residue_raises(self):
         values = np.zeros((3, 3), dtype=complex)
         values[0, 1] = 1j  # no conjugate partner

@@ -516,6 +516,16 @@ def test_block_state_rejects_non_finite_weights(bad):
         GeneralTwoModeState(2, {(1, 0): 1.0, (0, 1): bad})
 
 
+@pytest.mark.parametrize("bad", [-5.0, -1e-300, 1.0, 3.0])
+def test_truncation_deficit_outside_unit_interval_rejected(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        BlockDiagonalState(((1, 1.0, ManifoldState.fock(1, 0)),), truncation_deficit=bad)
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        GeneralTwoModeState(2, {(1, 0): 1.0}, truncation_deficit=bad)
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        state_from_json({"blocks": [{"N": 0, "pN": 1.0, "vector": [[1.0, 0.0]]}], "truncation_deficit": bad})
+
+
 @given(non_finite, st.floats(0.0, 2.0 * math.pi), st.booleans())
 def test_family_constructors_reject_non_finite_parameters(bad, good, bad_theta):
     theta, phi = (bad, good) if bad_theta else (good, bad)

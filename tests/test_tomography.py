@@ -502,6 +502,14 @@ class TestPipeline:
                     atol=tol,
                 )
 
+    def test_exact_round_trip_beyond_eight_photons(self, rng):
+        # only the state is compared: from N = 9 the class sums of up to
+        # 3^r noisy tensor entries outgrow the 1e-11 * N^r bound used above
+        for n in (9, 10):
+            state = ManifoldState.mixed(n, random_density(n, rng))
+            rec = run_tomography(state, max_order=n).manifolds[n]
+            assert trace_distance(rec.state.density(), state.density()) <= 1e-7
+
     def test_pipeline_does_not_take_the_reference_route(self, monkeypatch, rng):
         def reference_route(*args, **kwargs):
             raise AssertionError("run_tomography took the order-by-order reference route")
