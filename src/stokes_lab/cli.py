@@ -120,19 +120,25 @@ def _cmd_state(args) -> int:
 
 
 def _profile_mesh(state, order: int, mesh_shape) -> tuple:
+    """The order-r direction moment on a theta x phi mesh in degrees.
+
+    x^k y^l z^m = sin^(k+l)(theta) cos^m(theta) . cos^k(phi) sin^l(phi), so the
+    mesh is one product A @ B over the (k, l) component classes, with A built
+    from powers of the theta axis and B from powers of the phi axis.
+    """
     n_theta, n_phi = mesh_shape
     comp = averaged_components(state, order)
     theta_deg = [180.0 * i / (n_theta - 1) for i in range(n_theta)]
     phi_deg = [360.0 * j / (n_phi - 1) for j in range(n_phi)]
-    theta = np.radians(theta_deg)[:, None]
-    phi = np.radians(phi_deg)[None, :]
-    x = np.sin(theta) * np.cos(phi)
-    y = np.sin(theta) * np.sin(phi)
-    z = np.cos(theta) * np.ones_like(phi)
-    grid = np.zeros((n_theta, n_phi))
-    for (k, l), coeff in comp.values.items():
-        grid += coeff * x**k * y**l * z ** (order - k - l)
-    return theta_deg, phi_deg, [[float(v) for v in row] for row in grid]
+    theta, phi = np.radians(theta_deg), np.radians(phi_deg)
+    exponents = np.arange(order + 1)[:, None]
+    sin_t, cos_t = np.sin(theta) ** exponents, np.cos(theta) ** exponents
+    cos_p, sin_p = np.cos(phi) ** exponents, np.sin(phi) ** exponents
+    ks, ls = np.array(list(comp.values), dtype=int).T
+    coeffs = np.fromiter(comp.values.values(), dtype=float)
+    a = (sin_t[ks + ls] * cos_t[order - ks - ls]).T
+    b = coeffs[:, None] * cos_p[ks] * sin_p[ls]
+    return theta_deg, phi_deg, (a @ b).tolist()
 
 
 def _cmd_profile(args) -> int:

@@ -136,7 +136,10 @@ def simulate_measurement(state, setting: MeasurementSetting) -> MeasurementRecor
     counts = np.zeros(len(outcomes), dtype=np.int64)
     for start in range(0, setting.shots, SAMPLE_CHUNK):
         draws = gen.random(min(SAMPLE_CHUNK, setting.shots - start))
-        counts += np.bincount(np.searchsorted(edges, draws, side="right"), minlength=len(outcomes))
+        # outcome i takes the draws in [edges[i-1], edges[i]); counting them
+        # from the sorted chunk replaces one binary search per shot
+        draws.sort()
+        counts += np.diff(np.searchsorted(draws, edges, side="left"), prepend=0)
     return MeasurementRecord(
         setting, {o: int(c) for o, c in zip(outcomes, counts) if c > 0}
     )
@@ -695,9 +698,10 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases, 
     (d.S)^r = U diag((N-2k)^r) U^dag from the rotated Fock basis U of d.
     Every row and its moment are divided by the row norm, which is the same
     for all directions of one order; unscaled, the high orders swamp the
-    low ones.  Components and tensors are those of the raw estimate; the
-    state is its physicality projection.  design holds each direction
-    set's diagnostics, completed here with that order's residual.
+    low ones.  Components and tensors are those of the Hermitian part of the
+    raw estimate; the state is its physicality projection.  design holds
+    each direction set's diagnostics, completed here with that order's
+    residual.
     """
     dim = n_photons + 1
     spectrum = np.arange(n_photons, -n_photons - 1, -2, dtype=float)
@@ -721,7 +725,10 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases, 
     misfit, row_orders = (a @ x - b) * np.array(norms), np.array(row_orders)
     raw = x.reshape(dim, dim)
     projected, proj_diag = project_to_physical(raw)
-    tensors = {r: matrix_tensor(raw, n_photons, r) for r in measured}
+    # the anti-Hermitian rounding noise of raw grows by about N^r in the
+    # order-r tensor and fails its consistency gate from N = 11 on
+    hermitian = (raw + raw.conj().T) / 2.0
+    tensors = {r: matrix_tensor(hermitian, n_photons, r) for r in measured}
     return ManifoldReconstruction(
         n_photons,
         probability,

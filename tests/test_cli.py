@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from stokes_lab import checks
-from stokes_lab.cli import main
+from stokes_lab.cli import _parse_state_spec, _profile_mesh, main
 from stokes_lab.closed_forms import noon_profile
+from stokes_lab.moments import averaged_components, profile_eval
 from stokes_lab.serialize import state_from_json
 from stokes_lab.tomography import trace_distance
 from stokes_lab.states import noon
@@ -92,6 +93,47 @@ def test_profile_csv_twin_fock_odd_order_zero(capsys, tmp_path):
     assert all(abs(float(row["value"])) < 1e-10 for row in rows)
 
 
+@pytest.mark.parametrize(
+    "spec", ["noon:n=3", "su2:n=5,theta=0.9,phi=2.3", "coherent:nbar=2.0,nmax=25"]
+)
+@pytest.mark.parametrize("order", range(1, 8))
+def test_profile_mesh_matches_scalar_evaluation(spec, order):
+    state = _parse_state_spec(spec)[0]
+    comp = averaged_components(state, order)
+    rng = np.random.default_rng(order)
+    for shape in [(2, 2), (7, 9), (181, 361)]:
+        theta_deg, phi_deg, values = _profile_mesh(state, order, shape)
+        assert theta_deg == [180.0 * i / (shape[0] - 1) for i in range(shape[0])]
+        assert phi_deg == [360.0 * j / (shape[1] - 1) for j in range(shape[1])]
+        assert len(values) == shape[0] and all(len(row) == shape[1] for row in values)
+        if shape == (181, 361):
+            points = zip(rng.integers(0, 181, 64).tolist(), rng.integers(0, 361, 64).tolist())
+        else:
+            points = np.ndindex(*shape)
+        for i, j in points:
+            t, p = math.radians(theta_deg[i]), math.radians(phi_deg[j])
+            direction = (math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t))
+            expected = profile_eval(comp, direction)
+            assert type(values[i][j]) is float
+            assert abs(values[i][j] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_profile_csv_holds_the_repr_of_each_value(capsys, tmp_path):
+    args = ("profile", "--state", "su2:n=3,theta=0.4,phi=1.0", "--order", "3", "--mesh", "5x7")
+    out_path = tmp_path / "mesh.csv"
+    assert run_cli(capsys, *args, "--out", str(out_path))[0] == 0
+    payload = json.loads(run_cli(capsys, *args)[1])
+    with open(out_path) as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["theta_deg", "phi_deg", "value"]
+    expected = [
+        [repr(th), repr(ph), repr(payload["values"][i][j])]
+        for i, th in enumerate(payload["theta_deg"])
+        for j, ph in enumerate(payload["phi_deg"])
+    ]
+    assert rows[1:] == expected
+
+
 def test_profile_polar_maximum(capsys):
     code, out, _ = run_cli(capsys, "profile", "--state", "su2:n=4", "--order", "1", "--mesh", "3x3")
     payload = json.loads(out)
@@ -114,6 +156,15 @@ def test_tomography_exact_round_trip(capsys):
     rho = np.array([[complex(re, im) for re, im in row] for row in manifold["rho"]])
     assert trace_distance(rho, noon(2).density()) <= 1e-7
     assert manifold["diagnostics"]["projection_distance"] <= 1e-9
+
+
+def test_tomography_exact_eleven_photons(capsys):
+    code, out, err = run_cli(capsys, "tomography", "--state", "noon:n=11", "--shots", "inf", "--order", "11")
+    assert code == 0, err
+    manifold = json.loads(out)["manifolds"][0]
+    assert manifold["N"] == 11
+    rho = np.array([[complex(re, im) for re, im in row] for row in manifold["rho"]])
+    assert trace_distance(rho, noon(11).density()) <= 1e-7
 
 
 def test_tomography_seeded_bytes_reproducible(capsys):

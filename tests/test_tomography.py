@@ -131,15 +131,39 @@ class TestSimulation:
         b = simulate_measurement(noon(2), setting)
         assert a.counts == b.counts
 
-    @pytest.mark.parametrize("chunk", [1, 7, 500])
-    def test_chunk_size_leaves_the_record_unchanged(self, monkeypatch, chunk):
-        state = su2_coherent(3, 0.8, 0.3)
-        setting = MeasurementSetting(E1, 500, 31)
-        # reference: the whole Philox stream drawn and binned at once
-        dist = outcome_distribution(state, E1)
+    @pytest.mark.parametrize(
+        "state, direction, tied, chunk",
+        [
+            pytest.param(su2_coherent(3, 0.8, 0.3), E1, False, chunk, id=str(chunk))
+            for chunk in (1, 7, 500)
+        ]
+        + [
+            # 91 outcomes over the manifolds N = 0..12
+            pytest.param(two_mode_coherent(1.0, 12), E1, False, chunk, id=f"many-outcomes-{chunk}")
+            for chunk in (1, 7, 500)
+        ]
+        + [
+            # nearly antiparallel: after the leading outcome the cumulative
+            # sum no longer moves, so several edges are equal
+            pytest.param(
+                su2_coherent(4, 1e-6, 0.0),
+                Direction.from_vector((1e-3, 0.0, -1.0), normalize=True),
+                True,
+                chunk,
+                id=f"tied-edges-{chunk}",
+            )
+            for chunk in (1, 7, 500)
+        ],
+    )
+    def test_chunk_size_leaves_the_record_unchanged(self, monkeypatch, state, direction, tied, chunk):
+        setting = MeasurementSetting(direction, 500, 31)
+        # reference: the whole Philox stream drawn at once, each draw binned
+        # by its own binary search
+        dist = outcome_distribution(state, direction)
         outcomes = sorted(dist)
         edges = np.cumsum([dist[o] for o in outcomes])
         edges[-1] = 1.0
+        assert bool(np.any(np.diff(edges) == 0.0)) == tied
         draws = np.random.Generator(np.random.Philox(key=31)).random(500)
         counts = np.bincount(np.searchsorted(edges, draws, side="right"), minlength=len(outcomes))
         want = {o: int(c) for o, c in zip(outcomes, counts) if c > 0}
@@ -505,7 +529,7 @@ class TestPipeline:
     def test_exact_round_trip_beyond_eight_photons(self, rng):
         # only the state is compared: from N = 9 the class sums of up to
         # 3^r noisy tensor entries outgrow the 1e-11 * N^r bound used above
-        for n in (9, 10):
+        for n in (9, 10, 11):
             state = ManifoldState.mixed(n, random_density(n, rng))
             rec = run_tomography(state, max_order=n).manifolds[n]
             assert trace_distance(rec.state.density(), state.density()) <= 1e-7
