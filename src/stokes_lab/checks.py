@@ -14,6 +14,13 @@ import numpy as np
 from . import closed_forms, factorials, moments, states, tomography
 from .fock import stokes_in_direction, stokes_operator
 
+# Sizes and seeds of the suites; every run checks the same cases.
+ALGEBRA_MAX_PHOTONS = 10
+PROFILE_TRIALS, PROFILE_MAX_ORDER, PROFILE_SEED = 40, 6, 5
+RECURRENCE_MAX_PHOTONS, RECURRENCE_TRIALS, RECURRENCE_SEED = 6, 10, 9
+FACTORIAL_MAX_DEGREE = 12
+TOMOGRAPHY_SEED = 21
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -38,11 +45,11 @@ def _random_density(n_photons, rng):
     return rho / np.trace(rho)
 
 
-def verify_algebra(max_photons: int = 10) -> list[CheckResult]:
+def verify_algebra() -> list[CheckResult]:
     """Commutators, compatibility with total photon number, and the Casimir sum."""
     out = []
     worst_comm = worst_s0 = worst_casimir = 0.0
-    for n in range(max_photons + 1):
+    for n in range(ALGEBRA_MAX_PHOTONS + 1):
         s = {j: stokes_operator(j, n) for j in range(4)}
         for (a, b, c) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             dev = np.abs(s[a] @ s[b] - s[b] @ s[a] - 2j * s[c]).max(initial=0.0)
@@ -70,15 +77,15 @@ def _profile_cases():
     ]
 
 
-def verify_profiles(trials: int = 40, max_order: int = 6, seed: int = 5) -> list[CheckResult]:
+def verify_profiles() -> list[CheckResult]:
     """Closed-form family profiles against the matrix route."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROFILE_SEED)
     out = []
     for family, params, state in _profile_cases():
         worst = 0.0
-        for _ in range(trials):
+        for _ in range(PROFILE_TRIALS):
             n = _random_direction(rng)
-            for order in range(1, max_order + 1):
+            for order in range(1, PROFILE_MAX_ORDER + 1):
                 closed = closed_forms.closed_form_profile(family, params, order, n)
                 direct = moments.averaged_profile(state, order, n)
                 worst = max(worst, abs(closed - direct) / max(1.0, abs(direct)))
@@ -86,12 +93,12 @@ def verify_profiles(trials: int = 40, max_order: int = 6, seed: int = 5) -> list
     return out
 
 
-def verify_recurrence(max_photons: int = 6, trials: int = 10, seed: int = 9) -> list[CheckResult]:
+def verify_recurrence() -> list[CheckResult]:
     """Moment power recurrence against direct matrix powers on random states."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(RECURRENCE_SEED)
     worst = 0.0
-    for n in range(1, max_photons + 1):
-        for _ in range(trials):
+    for n in range(1, RECURRENCE_MAX_PHOTONS + 1):
+        for _ in range(RECURRENCE_TRIALS):
             rho = _random_density(n, rng)
             direction = _random_direction(rng)
             op = stokes_in_direction(direction, n)
@@ -123,19 +130,19 @@ def verify_recurrence(max_photons: int = 6, trials: int = 10, seed: int = 9) -> 
     return results
 
 
-def verify_factorials(max_degree: int = 12) -> list[CheckResult]:
+def verify_factorials() -> list[CheckResult]:
     """Dual routes to the first-kind numbers plus table inversion."""
     out = []
-    table = factorials.CentralFactorialTable(max_degree)
+    table = factorials.CentralFactorialTable(FACTORIAL_MAX_DEGREE)
     try:
         table.verify_explicit_formula()
-        out.append(_result("factorials", "explicit-vs-expansion", True, f"exact for n <= {max_degree}"))
+        out.append(_result("factorials", "explicit-vs-expansion", True, f"exact for n <= {FACTORIAL_MAX_DEGREE}"))
     except Exception as exc:  # pragma: no cover - hard failure path
         out.append(_result("factorials", "explicit-vs-expansion", False, str(exc)))
     ok = True
-    for n in range(max_degree + 1):
-        for k in range(max_degree + 1):
-            total = sum(table.second_kind(n, j) * table.first_kind(j, k) for j in range(max_degree + 1))
+    for n in range(FACTORIAL_MAX_DEGREE + 1):
+        for k in range(FACTORIAL_MAX_DEGREE + 1):
+            total = sum(table.second_kind(n, j) * table.first_kind(j, k) for j in range(FACTORIAL_MAX_DEGREE + 1))
             if total != (1 if n == k else 0):
                 ok = False
     out.append(_result("factorials", "mutually-inverse-tables", ok, "F o f = identity" if ok else "inversion failed"))
@@ -150,9 +157,9 @@ def verify_factorials(max_degree: int = 12) -> list[CheckResult]:
     return out
 
 
-def verify_tomography(seed: int = 21) -> list[CheckResult]:
+def verify_tomography() -> list[CheckResult]:
     """Round trips, dual second-order routes, and the rank-4 failure."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(TOMOGRAPHY_SEED)
     out = []
     worst = 0.0
     for n in (1, 2, 3):

@@ -23,6 +23,9 @@ from .states import BlockDiagonalState, ManifoldState, as_block_diagonal
 IMAG_RESIDUE_TOL = 1e-10
 DESCEND_TOL = 1e-9
 DEFAULT_ORDER_CAP = 6
+# A rank-14 tensor holds 3^14 complex entries (77 MB); its products and
+# class labels take a few times that, and the next order triples it.
+MAX_TENSOR_ORDER = 14
 
 
 def component_classes(order: int) -> tuple[tuple[int, int], ...]:
@@ -169,9 +172,15 @@ def matrix_tensor(rho: np.ndarray, n_photons: int, order: int) -> PolarizationTe
     Each word splits into a left half u and a right half w, so the whole
     tensor is one matrix product, Tr(rho P_u P_w) = sum_ab (rho P_u)_ab
     (P_w)_ba, between two stacks of about 3^(r/2) half-word products.
+    Orders above MAX_TENSOR_ORDER raise ValueError before anything is built.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
+    if order > MAX_TENSOR_ORDER:
+        raise ValueError(
+            f"order {order} exceeds MAX_TENSOR_ORDER = {MAX_TENSOR_ORDER}: "
+            f"a dense rank-{order} tensor has 3^{order} entries"
+        )
     gens = np.stack(stokes_vector_operators(n_photons))
     left = rho @ _word_products(gens, (order + 1) // 2)
     right = _word_products(gens, order // 2).transpose(0, 2, 1)
@@ -182,9 +191,7 @@ def matrix_tensor(rho: np.ndarray, n_photons: int, order: int) -> PolarizationTe
 def averaged_tensor(state, order: int) -> PolarizationTensor:
     """Probability-weighted tensor over the populated manifolds."""
     block = as_block_diagonal(state)
-    total = np.zeros((3,) * order, dtype=complex)
-    for n, p, ms in block.blocks:
-        total += p * polarization_tensor(ms, order).values
+    total = sum(p * polarization_tensor(ms, order).values for _, p, ms in block.blocks)
     return PolarizationTensor(order, None, total)
 
 
@@ -196,7 +203,7 @@ def _class_labels(order: int) -> np.ndarray:
     return ones * (order + 1) - ones * (ones - 1) // 2 + twos
 
 
-def moment_components(tensor: PolarizationTensor, imag_tol: float = IMAG_RESIDUE_TOL) -> MomentComponents:
+def moment_components(tensor: PolarizationTensor) -> MomentComponents:
     """Sum each permutation class of tensor elements into a real coefficient.
 
     The imaginary parts must cancel; a residue beyond tolerance signals a
@@ -209,7 +216,7 @@ def moment_components(tensor: PolarizationTensor, imag_tol: float = IMAG_RESIDUE
     imag = np.bincount(labels, weights=flat.imag, minlength=len(classes))
     scale = max(1.0, float(np.abs(flat).max(initial=0.0)))
     for (ones, twos), residue in zip(classes, imag):
-        if abs(residue) > imag_tol * scale:
+        if abs(residue) > IMAG_RESIDUE_TOL * scale:
             raise TensorConsistencyError(
                 f"class ({ones},{twos}) of order {tensor.order} has imaginary residue {residue:.3e}"
             )
@@ -257,7 +264,7 @@ def multi_direction_expectation(tensor: PolarizationTensor, directions) -> compl
     return complex(out)
 
 
-def tensor_descend(tensor: PolarizationTensor, tol: float = DESCEND_TOL) -> PolarizationTensor:
+def tensor_descend(tensor: PolarizationTensor) -> PolarizationTensor:
     """Recover the rank-(r-1) tensor from antisymmetrized neighbor pairs.
 
     Every insertion slot must reproduce the same value; disagreement beyond
@@ -277,7 +284,7 @@ def tensor_descend(tensor: PolarizationTensor, tol: float = DESCEND_TOL) -> Pola
             minus = w[:slot] + (nu, mu) + w[slot + 1 :]
             candidates.append((tensor.element(plus) - tensor.element(minus)) / 2j)
         spread = max(abs(a - b) for a in candidates for b in candidates)
-        if spread > tol * scale:
+        if spread > DESCEND_TOL * scale:
             raise TensorConsistencyError(
                 f"slot reconstructions of element {w} disagree by {spread:.3e}"
             )

@@ -2,13 +2,16 @@
 
 One measurement setting fixes a direction on the polarization sphere; each
 shot draws a joint outcome (total photon number, difference eigenvalue).
-Every per-manifold direction moment Tr(rho_N (d.S)^r) is linear in rho_N,
-so run_tomography recovers each manifold by one least-squares solve over
-all of its moments, followed by a physicality projection.  The paper's
-order-by-order route stays here as the reference it is checked against:
-a Casimir-constrained inversion for the moment components of each order
-(solve_moment_components), tensor assembly (assemble_all_tensors) and
-inversion of the complete tensor set (reconstruct_density).
+Along direction d, manifold N is characterized by its conditional outcome
+law p_N(d) over the eigenvalues N-2k, exact or counted.  Every average
+sum_k p_k t(N-2k) is linear in rho_N, so run_tomography recovers each
+manifold by one least-squares solve over the laws of all its directions,
+weighted by polynomials orthonormal on the spectrum, followed by a
+physicality projection.  The paper's order-by-order route stays here as
+the reference it is checked against: a Casimir-constrained inversion for
+the moment components of each order (solve_moment_components), tensor
+assembly (assemble_all_tensors) and inversion of the complete tensor set
+(reconstruct_density).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import (
 from .fock import Direction, as_direction, rotated_fock_bases, stokes_vector_operators
 from .moments import (
     DEFAULT_ORDER_CAP,
+    MAX_TENSOR_ORDER,
     MomentComponents,
     PolarizationTensor,
     assemble_tensor,
@@ -43,6 +47,10 @@ from .states import BlockDiagonalState, ManifoldState, as_block_diagonal
 RANK_TOL = 1e-12
 PHILOX_KEY_BOUND = 1 << 128
 SAMPLE_CHUNK = 1 << 20  # uniforms drawn per pass; bounds sampling memory
+MIN_COUNTS = 10  # samples a manifold needs across settings to be solved
+GENERIC_SEED = 2023
+GENERIC_CANDIDATES = 200
+SUPPORT_TOL = 1e-9  # slack on inferred photon-number probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +354,7 @@ def derive_third_order_fallback(seed: int = 0xD1CE, iterations: int = 400, step:
     return tuple(Direction.from_vector(v, normalize=True) for v in current), best
 
 
-def generic_directions(order: int, seed: int = 2023, candidates: int = 200) -> DirectionSet:
+def generic_directions(order: int) -> DirectionSet:
     """A 2r+1 direction set chosen by condition-number search.
 
     Draws a seeded pool of candidate lines, then 200 seeded subsets of
@@ -357,12 +365,12 @@ def generic_directions(order: int, seed: int = 2023, candidates: int = 200) -> D
     named set and tagged as such.
     """
     n_free = independent_moment_count(order)
-    gen = np.random.Generator(np.random.Philox(key=seed + order))
-    pool = gen.normal(size=(candidates, 3))
+    gen = np.random.Generator(np.random.Philox(key=GENERIC_SEED + order))
+    pool = gen.normal(size=(GENERIC_CANDIDATES, 3))
     pool /= np.linalg.norm(pool, axis=1, keepdims=True)
     lines = [Direction.from_vector(v, normalize=True) for v in pool]
     reduced = design_matrix(lines, order) @ constraint_nullspace(order)
-    picks = np.array([gen.choice(candidates, size=n_free, replace=False) for _ in range(200)])
+    picks = np.array([gen.choice(GENERIC_CANDIDATES, size=n_free, replace=False) for _ in range(200)])
     sv = np.linalg.svd(reduced[picks], compute_uv=False)
     resolved = sv[:, -1] > sv[:, 0] * RANK_TOL
     cond = np.full(len(picks), math.inf)
@@ -690,39 +698,73 @@ def _setting_seed(base_seed: int, index: int) -> int:
     return (base_seed << 32) + index
 
 
-def _solve_manifold(n_photons, probability, probability_error, measured, bases, design):
-    """Reconstruct one manifold from all of its direction moments at once.
+def _manifold_laws(tally: dict) -> dict:
+    """Conditional outcome laws of every manifold along one direction.
 
-    measured maps each order r to (direction, moment) pairs.  The rows of
-    the least-squares system are the trace and vec((d.S)^r), with
-    (d.S)^r = U diag((N-2k)^r) U^dag from the rotated Fock basis U of d.
-    Every row and its moment are divided by the row norm, which is the same
-    for all directions of one order; unscaled, the high orders swamp the
-    low ones.  Components and tensors are those of the Hermitian part of the
-    raw estimate; the state is its physicality projection.  design holds
-    each direction set's diagnostics, completed here with that order's
-    residual.
+    tally maps (N, eigenvalue) to a probability or a count.  Entry k of the
+    law of manifold N is the share of eigenvalue N-2k among that manifold's
+    outcomes; manifolds without outcomes have no law.
+    """
+    laws: dict[int, np.ndarray] = {}
+    for (n, s), weight in tally.items():
+        laws.setdefault(n, np.zeros(n + 1))[(n - s) // 2] = weight
+    return {n: law / law.sum() for n, law in laws.items()}
+
+
+def _orthonormal_polynomials(n_photons: int) -> np.ndarray:
+    """Row r: the degree-r polynomial t_r orthonormal on the spectrum N-2k.
+
+    These are the discrete Chebyshev polynomials of the N+1 equally spaced
+    eigenvalues, evaluated there by the three-term recurrence
+    sqrt(b_(r+1)) t_(r+1) = x t_r - sqrt(b_r) t_(r-1), with the closed-form
+    b_r = r^2 ((N+1)^2 - r^2) / (4 r^2 - 1) and t_0 = 1/sqrt(N+1).
+    The rows are orthonormal to 4e-13 at N = 16; near N = 30 the recurrence
+    loses digits, far above the MAX_TENSOR_ORDER that bounds N here.
     """
     dim = n_photons + 1
-    spectrum = np.arange(n_photons, -n_photons - 1, -2, dtype=float)
-    rows, rhs, norms, row_orders = [np.eye(dim, dtype=complex).reshape(-1)], [1.0], [1.0], [0]
+    x = np.arange(n_photons, -n_photons - 1, -2, dtype=float)
+    b = np.sqrt([r * r * (dim * dim - r * r) / (4.0 * r * r - 1.0) for r in range(dim)])
+    t = np.empty((dim, dim))
+    t[0] = 1.0 / math.sqrt(dim)
+    if dim > 1:
+        t[1] = x * t[0] / b[1]
+    for r in range(2, dim):
+        t[r] = (x * t[r - 1] - b[r - 1] * t[r - 2]) / b[r]
+    return t
+
+
+def _solve_manifold(n_photons, probability, probability_error, measured, bases, design):
+    """Reconstruct one manifold from the outcome laws of all its directions.
+
+    measured maps each order r to (direction, law) pairs, law being the
+    conditional outcome law p_N(d).  The rows of the least-squares system
+    are the trace and, per pair, vec(t_r(d.S)) = vec(U diag(t_r) U^dag) with
+    the rotated Fock basis U of d and t_r from _orthonormal_polynomials; the
+    right-hand side is t_r . p_N(d) = Tr(rho t_r(d.S)).  Each such row has
+    unit norm and carries only the rank-r multipole of rho along d, so rows
+    of different orders are orthogonal and the system stays well
+    conditioned at every N.  Components and tensors are those of the
+    Hermitian part of the raw estimate; the state is its physicality
+    projection.  design holds each direction set's diagnostics, completed
+    here with that order's residual in units of t_r.
+    """
+    dim = n_photons + 1
+    polys = _orthonormal_polynomials(n_photons)
+    rows, rhs, row_orders = [np.eye(dim, dtype=complex).reshape(-1)], [1.0], [0]
     for r, pairs in measured.items():
-        powers = spectrum**r
-        norm = float(np.linalg.norm(powers))
-        for d, value in pairs:
+        for d, law in pairs:
             u = bases[d][n_photons]
-            rows.append(((u * powers) @ u.conj().T).T.reshape(-1) / norm)
-            rhs.append(value / norm)
-            norms.append(norm)
+            rows.append(((u * polys[r]) @ u.conj().T).T.reshape(-1))
+            rhs.append(polys[r] @ law)
             row_orders.append(r)
     a, b = np.array(rows), np.array(rhs, dtype=complex)
     # unit-norm rows: the per-order designs' relative cut RANK_TOL applies here too
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_TOL)
     if rank < dim * dim:
         raise StokesLabError(
-            f"direction moments span only {rank} of {dim * dim} dimensions on manifold {n_photons}"
+            f"outcome laws span only {rank} of {dim * dim} dimensions on manifold {n_photons}"
         )
-    misfit, row_orders = (a @ x - b) * np.array(norms), np.array(row_orders)
+    misfit, row_orders = a @ x - b, np.array(row_orders)
     raw = x.reshape(dim, dim)
     projected, proj_diag = project_to_physical(raw)
     # the anti-Hermitian rounding noise of raw grows by about N^r in the
@@ -747,21 +789,24 @@ def run_tomography(
     seed: int = 0,
     direction_mode: str = "auto",
     max_order: int | None = None,
-    min_counts: int = 10,
 ) -> ReconstructionResult:
-    """Measure every populated manifold and invert its moments to a state.
+    """Measure every populated manifold and invert its outcome laws to a state.
 
-    shots=None runs the exact-moment mode (no sampling).  Each unique
-    direction is measured once.  Manifold N is recovered from its moments
-    of orders one to N by one least-squares solve (_solve_manifold); the
-    order-by-order route of solve_moment_components, assemble_all_tensors
-    and reconstruct_density is kept as the reference it is checked
-    against.  Manifolds beyond the order cap (default 6, where the dense
-    tensors of the report stay small) are skipped with a reason, as are
-    manifolds whose records hold fewer than min_counts samples.  If that
-    leaves nothing to reconstruct, NoManifoldReconstructedError carries the
-    reasons.  Each order that a solved manifold needs must have a direction
-    set that resolves its free components, or RankDeficientError says which
+    shots=None runs the exact mode (no sampling).  Each unique direction is
+    measured once, and its outcomes, exact probabilities or shot counts,
+    are split into one conditional law per manifold (_manifold_laws), so
+    both modes reach the solve by the same route.  Manifold N is recovered
+    from the laws along the direction sets of orders one to N by one
+    least-squares solve (_solve_manifold); the order-by-order route of
+    solve_moment_components, assemble_all_tensors and reconstruct_density
+    is kept as the reference it is checked against.  Manifolds beyond the
+    order cap (default 6) are skipped with a reason, as are manifolds whose
+    records hold fewer than MIN_COUNTS samples.  If that leaves nothing to
+    reconstruct, NoManifoldReconstructedError carries the reasons.  The
+    report holds dense 3^r tensors, so a manifold above MAX_TENSOR_ORDER
+    within the cap raises ValueError before anything is measured.  Each
+    order that a solved manifold needs must have a direction set that
+    resolves its free components, or RankDeficientError says which
     combinations it leaves open.
     """
     block = as_block_diagonal(state)
@@ -775,33 +820,35 @@ def run_tomography(
     if not populated:
         raise ValueError("every populated manifold exceeds the order cap")
     top = max(populated)
+    if top > MAX_TENSOR_ORDER:
+        raise ValueError(
+            f"manifold {top} needs order-{top} tensors, above MAX_TENSOR_ORDER = "
+            f"{MAX_TENSOR_ORDER}; lower max_order to skip it"
+        )
     sets = {r: choose_directions(r, mode=direction_mode if r == 3 else "auto") for r in range(1, top + 1)}
     unique = list(dict.fromkeys(d for dset in sets.values() for d in dset.directions))
     if not unique:
         # vacuum-only input: one setting still pins the photon distribution
         unique.append(Direction(0.0, 0.0, 1.0))
 
-    records, estimates, counts = [], {}, {}
+    records, counts = [], {}
     if shots is None:
-        distributions = {d: outcome_distribution(block, d) for d in unique}
+        tallies = [outcome_distribution(block, d) for d in unique]
         probabilities = {n: block.probability(n) for n in populated}
         prob_errors = {n: 0.0 for n in populated}
     else:
-        for i, d in enumerate(unique):
-            record = simulate_measurement(block, MeasurementSetting(d, shots, _setting_seed(seed, i)))
-            records.append(record)
-            estimates[d] = estimate_moments(record, range(0, top + 1))
+        records = [
+            simulate_measurement(block, MeasurementSetting(d, shots, _setting_seed(seed, i)))
+            for i, d in enumerate(unique)
+        ]
+        tallies = [record.counts for record in records]
+        for record in records:
             for n, c in record.manifold_totals().items():
                 counts[n] = counts.get(n, 0) + c
         grand_total = shots * len(unique)
         probabilities = {n: c / grand_total for n, c in counts.items()}
         prob_errors = {n: math.sqrt(p * (1 - p) / grand_total) for n, p in probabilities.items()}
-
-    def measured_moment(direction: Direction, n_photons: int, order: int):
-        if shots is None:
-            return distribution_moment(distributions[direction], order, n_photons)
-        est = estimates[direction].moment(n_photons, order)
-        return None if est is None else est.value
+    laws = {d: _manifold_laws(tally) for d, tally in zip(unique, tallies)}
 
     solvable = {}
     skipped = {
@@ -809,13 +856,11 @@ def run_tomography(
         for n in sorted(deep_manifolds)
     }
     for n in sorted(populated):
-        if shots is not None and counts.get(n, 0) < min_counts:
+        if shots is not None and counts.get(n, 0) < MIN_COUNTS:
             skipped[n] = f"only {counts.get(n, 0)} samples across settings"
             continue
-        measured = {
-            r: [(d, measured_moment(d, n, r)) for d in sets[r].directions] for r in range(1, n + 1)
-        }
-        unsampled = [sets[r].label for r, pairs in measured.items() if any(v is None for _, v in pairs)]
+        measured = {r: [(d, laws[d].get(n)) for d in sets[r].directions] for r in range(1, n + 1)}
+        unsampled = [sets[r].label for r, pairs in measured.items() if any(law is None for _, law in pairs)]
         if unsampled:
             skipped[n] = f"no samples for manifold {n} along {unsampled[0]}"
             continue
@@ -860,7 +905,6 @@ def non_resolved_manifold_moments(
     first: float,
     second: float,
     third: float,
-    tol: float = 1e-9,
 ) -> LowExcitationMoments:
     """Recover per-manifold direction moments without photon resolution.
 
@@ -873,17 +917,17 @@ def non_resolved_manifold_moments(
     p2 = (s0_sq_mean - s0_mean) / 2.0
     p0 = 1.0 - p1 - p2
     for name, p in (("p0", p0), ("p1", p1), ("p2", p2)):
-        if p < -tol or p > 1.0 + tol:
+        if p < -SUPPORT_TOL or p > 1.0 + SUPPORT_TOL:
             raise NonPhysicalStateError(
                 f"inferred {name} = {p:.6g}; support is not limited to two photons"
             )
     p0, p1, p2 = (min(max(p, 0.0), 1.0) for p in (p0, p1, p2))
     single_first = None
-    if p1 > tol:
+    if p1 > SUPPORT_TOL:
         single_first = (4.0 * first - third) / (6.0 * s0_mean - 3.0 * s0_sq_mean)
     two_first = None
     two_second = None
-    if p2 > tol:
+    if p2 > SUPPORT_TOL:
         # the odd-moment split needs the pair weight restored explicitly
         two_first = 2.0 * (third - first) / (3.0 * (s0_sq_mean - s0_mean))
         two_second = 2.0 * (second + s0_sq_mean - 2.0 * s0_mean) / (s0_sq_mean - s0_mean)

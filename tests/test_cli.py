@@ -167,6 +167,19 @@ def test_tomography_exact_eleven_photons(capsys):
     assert trace_distance(rho, noon(11).density()) <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tomography", "--state", "noon:n=16", "--shots", "inf", "--order", "16"),
+        ("profile", "--state", "noon:n=2", "--order", "15"),
+    ],
+)
+def test_order_above_the_tensor_bound_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "MAX_TENSOR_ORDER" in err
+
+
 def test_tomography_seeded_bytes_reproducible(capsys):
     args = ("tomography", "--state", "noon:n=2", "--shots", "20000", "--seed", "7", "--records")
     code1, out1, _ = run_cli(capsys, *args)

@@ -1,14 +1,16 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stokes_lab import wordalg
+from stokes_lab import moments, wordalg
 from stokes_lab.errors import TensorConsistencyError
 from stokes_lab.fock import stokes_vector_operators
 from stokes_lab.moments import (
+    MAX_TENSOR_ORDER,
     MomentComponents,
     PolarizationTensor,
     assemble_tensor,
@@ -170,6 +172,23 @@ class TestMomentComponents:
                 for w in wordalg.class_words(ones, twos, r):
                     total += tensor.element(w)
                 assert comp[(ones, twos)] == total.real
+
+    def test_order_above_the_tensor_bound_raises_before_building(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("built word products above the bound")
+
+        monkeypatch.setattr(moments, "_word_products", build)
+        with pytest.raises(ValueError, match="MAX_TENSOR_ORDER"):
+            moments.matrix_tensor(np.eye(3, dtype=complex), 2, MAX_TENSOR_ORDER + 1)
+        # the profile path sums one tensor per block and must not allocate first
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_TENSOR_ORDER"):
+                averaged_tensor(BlockDiagonalState.single(polar_fock(1)), MAX_TENSOR_ORDER + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_imaginary_residue_raises(self):
         values = np.zeros((3, 3), dtype=complex)

@@ -8,6 +8,7 @@ from stokes_lab import tomography
 from stokes_lab.errors import NoManifoldReconstructedError, NonPhysicalStateError, RankDeficientError
 from stokes_lab.fock import Direction, as_direction, stokes_in_direction
 from stokes_lab.moments import (
+    MAX_TENSOR_ORDER,
     averaged_profile,
     component_classes,
     components_from_state,
@@ -243,6 +244,21 @@ class TestEstimates:
         record = simulate_measurement(noon(2), MeasurementSetting(E1, 100, 1))
         emp = estimate_moments(record, [1])
         assert emp.moment(1, 1) is None
+
+
+class TestOrthonormalPolynomials:
+    def test_recurrence_matches_orthonormalized_powers(self):
+        for n in range(0, 9):
+            spectrum = np.arange(n, -n - 1, -2, dtype=float)
+            q, upper = np.linalg.qr(np.vander(spectrum, increasing=True))
+            # fix the QR sign freedom: positive leading coefficients
+            reference = (q * np.sign(np.diag(upper))).T
+            np.testing.assert_allclose(tomography._orthonormal_polynomials(n), reference, rtol=0, atol=1e-13)
+
+    def test_orthonormal_up_to_the_tensor_bound(self):
+        for n in range(MAX_TENSOR_ORDER + 1):
+            t = tomography._orthonormal_polynomials(n)
+            np.testing.assert_allclose(t @ t.T, np.eye(n + 1), rtol=0, atol=1e-12)
 
 
 class TestDirectionSets:
@@ -529,20 +545,52 @@ class TestPipeline:
     def test_exact_round_trip_beyond_eight_photons(self, rng):
         # only the state is compared: from N = 9 the class sums of up to
         # 3^r noisy tensor entries outgrow the 1e-11 * N^r bound used above
-        for n in (9, 10, 11):
+        for n in (9, 10, 11, 12, 13):
             state = ManifoldState.mixed(n, random_density(n, rng))
             rec = run_tomography(state, max_order=n).manifolds[n]
             assert trace_distance(rec.state.density(), state.density()) <= 1e-7
 
     def test_pipeline_does_not_take_the_reference_route(self, monkeypatch, rng):
         def reference_route(*args, **kwargs):
-            raise AssertionError("run_tomography took the order-by-order reference route")
+            raise AssertionError("run_tomography left its one route from outcome laws")
 
-        for name in ("solve_moment_components", "_constraint_rhs", "assemble_all_tensors", "reconstruct_density"):
+        for name in (
+            "solve_moment_components",
+            "_constraint_rhs",
+            "assemble_all_tensors",
+            "reconstruct_density",
+            "estimate_moments",
+            "distribution_moment",
+        ):
             monkeypatch.setattr(tomography, name, reference_route)
         state = ManifoldState.mixed(3, random_density(3, rng))
         assert 3 in run_tomography(state).manifolds
         assert 3 in run_tomography(state, shots=5000, seed=2).manifolds
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            pytest.param(noon(6), id="noon6"),
+            pytest.param(ManifoldState.mixed(6, random_density(6, np.random.default_rng(606))), id="mixed6"),
+        ],
+    )
+    def test_finite_shot_median_at_six_photons(self, state):
+        # the acceptance bound of criterion 07, at a photon number it does not reach
+        distances = [
+            trace_distance(run_tomography(state, shots=100_000, seed=seed).manifolds[6].state.density(), state.density())
+            for seed in range(1, 11)
+        ]
+        assert np.median(distances) <= 0.05
+
+    def test_manifold_above_the_tensor_bound_rejected_before_measuring(self, monkeypatch):
+        def measure(*args, **kwargs):
+            raise AssertionError("measured a state it cannot report")
+
+        monkeypatch.setattr(tomography, "choose_directions", measure)
+        monkeypatch.setattr(tomography, "outcome_distribution", measure)
+        n = MAX_TENSOR_ORDER + 1
+        with pytest.raises(ValueError, match="MAX_TENSOR_ORDER"):
+            run_tomography(noon(n), max_order=n)
 
     def test_vacuum_only_input(self):
         vacuum = ManifoldState.fock(0, 0)
