@@ -50,13 +50,14 @@ def _parse_state_spec(spec: str):
 
 
 # family -> (constructor, its parameters in call order with their defaults);
-# a default of None marks a required parameter
+# a default of None marks a required parameter.  The truncation defaults keep
+# the top manifold within fock.DEFAULT_MANIFOLD_CAP.
 _FAMILIES = {
     "noon": (states.noon, {"n": None}),
     "su2": (states.su2_coherent, {"n": None, "theta": 0.0, "phi": 0.0}),
     "twinfock": (states.twin_fock, {"m": None}),
-    "coherent": (states.two_mode_coherent, {"nbar": None, "nmax": 40}),
-    "tmsv": (states.tmsv, {"nbar": None, "mmax": 20}),
+    "coherent": (states.two_mode_coherent, {"nbar": None, "nmax": 32}),
+    "tmsv": (states.tmsv, {"nbar": None, "mmax": 16}),
     "unpolarized": (states.unpolarized_two_photon, {"a": None, "theta": 0.0}),
 }
 _INTEGER_PARAMS = {"n", "m", "nmax", "mmax"}
@@ -220,25 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     state = sub.add_parser("state", help="serialize a family state")
     state_sub = state.add_subparsers(dest="family", required=True)
-    noon_p = state_sub.add_parser("noon")
-    noon_p.add_argument("--n", type=int, required=True)
-    su2_p = state_sub.add_parser("su2")
-    su2_p.add_argument("--n", type=int, required=True)
-    su2_p.add_argument("--theta", type=float, default=0.0)
-    su2_p.add_argument("--phi", type=float, default=0.0)
-    twin_p = state_sub.add_parser("twinfock")
-    twin_p.add_argument("--m", type=int, required=True)
-    coh_p = state_sub.add_parser("coherent")
-    coh_p.add_argument("--nbar", type=float, required=True)
-    coh_p.add_argument("--nmax", type=int, default=40)
-    tmsv_p = state_sub.add_parser("tmsv")
-    tmsv_p.add_argument("--nbar", type=float, required=True)
-    tmsv_p.add_argument("--mmax", type=int, default=20)
-    unpol_p = state_sub.add_parser("unpolarized")
-    unpol_p.add_argument("--a", type=float, required=True)
-    unpol_p.add_argument("--theta", type=float, default=0.0)
-    for p in (noon_p, su2_p, twin_p, coh_p, tmsv_p, unpol_p):
-        p.add_argument("--out", default=None)
+    for family, (_, defaults) in _FAMILIES.items():
+        family_p = state_sub.add_parser(family)
+        for key, default in defaults.items():
+            kind = int if key in _INTEGER_PARAMS else float
+            family_p.add_argument(f"--{key}", type=kind, default=default, required=default is None)
+        family_p.add_argument("--out", default=None)
 
     profile = sub.add_parser("profile", help="export a direction-moment mesh")
     profile.add_argument("--state", required=True, help="JSON file or family:key=value,...")

@@ -3,14 +3,14 @@
 One measurement setting fixes a direction on the polarization sphere; each
 shot draws a joint outcome (total photon number, difference eigenvalue).
 Along direction d, manifold N is characterized by its conditional outcome
-law p_N(d) over the eigenvalues N-2k, exact or counted.  Every average
-sum_k p_k t(N-2k) is linear in rho_N, so run_tomography recovers each
-manifold by one least-squares solve over the laws of all its directions,
-weighted by polynomials orthonormal on the spectrum, followed by a
-physicality projection.  The paper's order-by-order route stays here as
-the reference it is checked against: a Casimir-constrained inversion for
-the moment components of each order (solve_moment_components), tensor
-assembly (assemble_all_tensors) and inversion of the complete tensor set
+law p_N(d) over the eigenvalues N-2k, exact or counted.  Each entry
+p_k(d) = Tr(rho_N Pi_k(d)) is linear in rho_N, so run_tomography recovers
+each manifold by one least-squares solve with one row per outcome
+projector of all its directions, followed by a physicality projection.
+The paper's order-by-order route stays here as the reference it is
+checked against: a Casimir-constrained inversion for the moment
+components of each order (solve_moment_components), tensor assembly
+(assemble_all_tensors) and inversion of the complete tensor set
 (reconstruct_density).
 """
 
@@ -444,7 +444,6 @@ class SolveDiagnostics:
     condition_number: float
     residual: float
     rank: int
-    n_free: int
 
 
 def _checked_design(directions, order: int):
@@ -470,7 +469,7 @@ def _checked_design(directions, order: int):
             condition_number=condition,
             deficient_directions=(null @ vt[rank:].T).T,
         )
-    return a, null, (u, sv, vt), SolveDiagnostics(condition, 0.0, rank, n_free)
+    return a, null, (u, sv, vt), SolveDiagnostics(condition, 0.0, rank)
 
 
 def _constraint_rhs(order: int, n_photons: int, lower_arrays: dict) -> np.ndarray:
@@ -587,7 +586,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 class ReconstructionDiagnostics:
     system_rank: int
     lstsq_residual: float
-    min_eigenvalue: float
     projection_distance: float
 
 
@@ -603,7 +601,6 @@ def project_to_physical(matrix: np.ndarray) -> tuple[np.ndarray, ReconstructionD
     diag = ReconstructionDiagnostics(
         system_rank=-1,
         lstsq_residual=0.0,
-        min_eigenvalue=float(evals.min()),
         projection_distance=trace_distance(hermitian, projected),
     )
     return projected, diag
@@ -620,7 +617,7 @@ def reconstruct_density(tensors: dict, n_photons: int) -> tuple[ManifoldState, R
     """
     if n_photons == 0:
         state = ManifoldState.mixed(0, np.array([[1.0 + 0j]]))
-        return state, ReconstructionDiagnostics(1, 0.0, 1.0, 0.0)
+        return state, ReconstructionDiagnostics(1, 0.0, 0.0)
     for q in range(1, n_photons + 1):
         if q not in tensors:
             raise ValueError(f"missing tensor of order {q}")
@@ -648,12 +645,7 @@ def reconstruct_density(tensors: dict, n_photons: int) -> tuple[ManifoldState, R
     residual = float(np.linalg.norm(a @ solution - b))
     raw = solution.reshape(dim, dim)
     projected, proj_diag = project_to_physical(raw)
-    diagnostics = ReconstructionDiagnostics(
-        system_rank=rank,
-        lstsq_residual=residual,
-        min_eigenvalue=proj_diag.min_eigenvalue,
-        projection_distance=proj_diag.projection_distance,
-    )
+    diagnostics = replace(proj_diag, system_rank=rank, lstsq_residual=residual)
     return ManifoldState.mixed(n_photons, projected), diagnostics
 
 
@@ -711,53 +703,33 @@ def _manifold_laws(tally: dict) -> dict:
     return {n: law / law.sum() for n, law in laws.items()}
 
 
-def _orthonormal_polynomials(n_photons: int) -> np.ndarray:
-    """Row r: the degree-r polynomial t_r orthonormal on the spectrum N-2k.
-
-    These are the discrete Chebyshev polynomials of the N+1 equally spaced
-    eigenvalues, evaluated there by the three-term recurrence
-    sqrt(b_(r+1)) t_(r+1) = x t_r - sqrt(b_r) t_(r-1), with the closed-form
-    b_r = r^2 ((N+1)^2 - r^2) / (4 r^2 - 1) and t_0 = 1/sqrt(N+1).
-    The rows are orthonormal to 4e-13 at N = 16; near N = 30 the recurrence
-    loses digits, far above the MAX_TENSOR_ORDER that bounds N here.
-    """
-    dim = n_photons + 1
-    x = np.arange(n_photons, -n_photons - 1, -2, dtype=float)
-    b = np.sqrt([r * r * (dim * dim - r * r) / (4.0 * r * r - 1.0) for r in range(dim)])
-    t = np.empty((dim, dim))
-    t[0] = 1.0 / math.sqrt(dim)
-    if dim > 1:
-        t[1] = x * t[0] / b[1]
-    for r in range(2, dim):
-        t[r] = (x * t[r - 1] - b[r - 1] * t[r - 2]) / b[r]
-    return t
-
-
 def _solve_manifold(n_photons, probability, probability_error, measured, bases, design):
     """Reconstruct one manifold from the outcome laws of all its directions.
 
     measured maps each order r to (direction, law) pairs, law being the
     conditional outcome law p_N(d).  The rows of the least-squares system
-    are the trace and, per pair, vec(t_r(d.S)) = vec(U diag(t_r) U^dag) with
-    the rotated Fock basis U of d and t_r from _orthonormal_polynomials; the
-    right-hand side is t_r . p_N(d) = Tr(rho t_r(d.S)).  Each such row has
-    unit norm and carries only the rank-r multipole of rho along d, so rows
-    of different orders are orthogonal and the system stays well
-    conditioned at every N.  Components and tensors are those of the
+    are the trace and, per pair, the N+1 outcome projectors
+    vec(Pi_k(d)) = vec(u_k u_k^dag), with u_k the columns of the rotated
+    Fock basis of d; the right-hand side is the law itself,
+    p_k(d) = Tr(rho Pi_k(d)).  Each row has unit norm, and since
+    sum_k Pi_k (x) Pi_k equals the sum over ranks r <= N of the orthonormal
+    multipole rows t_r(d.S) (x) t_r(d.S), every direction informs every
+    rank, not only its own order.  Components and tensors are those of the
     Hermitian part of the raw estimate; the state is its physicality
     projection.  design holds each direction set's diagnostics, completed
-    here with that order's residual in units of t_r.
+    here with the misfit over that order's outcome rows, in probability
+    units.
     """
     dim = n_photons + 1
-    polys = _orthonormal_polynomials(n_photons)
-    rows, rhs, row_orders = [np.eye(dim, dtype=complex).reshape(-1)], [1.0], [0]
+    rows, rhs, row_orders = [np.eye(dim, dtype=complex).reshape(1, -1)], [np.ones(1)], [0]
     for r, pairs in measured.items():
         for d, law in pairs:
             u = bases[d][n_photons]
-            rows.append(((u * polys[r]) @ u.conj().T).T.reshape(-1))
-            rhs.append(polys[r] @ law)
-            row_orders.append(r)
-    a, b = np.array(rows), np.array(rhs, dtype=complex)
+            # row k is vec(Pi_k^T) = vec(conj(u_k) u_k^T): row . vec(rho) = Tr(rho Pi_k)
+            rows.append(np.einsum("ik,jk->kij", u.conj(), u).reshape(dim, -1))
+            rhs.append(law)
+            row_orders += [r] * dim
+    a, b = np.concatenate(rows), np.concatenate(rhs)
     # unit-norm rows: the per-order designs' relative cut RANK_TOL applies here too
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_TOL)
     if rank < dim * dim:
@@ -797,17 +769,19 @@ def run_tomography(
     are split into one conditional law per manifold (_manifold_laws), so
     both modes reach the solve by the same route.  Manifold N is recovered
     from the laws along the direction sets of orders one to N by one
-    least-squares solve (_solve_manifold); the order-by-order route of
-    solve_moment_components, assemble_all_tensors and reconstruct_density
-    is kept as the reference it is checked against.  Manifolds beyond the
-    order cap (default 6) are skipped with a reason, as are manifolds whose
-    records hold fewer than MIN_COUNTS samples.  If that leaves nothing to
-    reconstruct, NoManifoldReconstructedError carries the reasons.  The
-    report holds dense 3^r tensors, so a manifold above MAX_TENSOR_ORDER
-    within the cap raises ValueError before anything is measured.  Each
-    order that a solved manifold needs must have a direction set that
-    resolves its free components, or RankDeficientError says which
-    combinations it leaves open.
+    least-squares fit of every outcome projector of those directions
+    (_solve_manifold), whose per-order misfit is reported in probability
+    units; the order-by-order route of solve_moment_components,
+    assemble_all_tensors and reconstruct_density is kept as the reference
+    it is checked against.  Manifolds beyond the order cap (default 6) are
+    skipped with a reason, as are manifolds whose records hold fewer than
+    MIN_COUNTS samples.  If that leaves nothing to reconstruct,
+    NoManifoldReconstructedError carries the reasons.  The report holds
+    dense 3^r tensors, so a manifold above MAX_TENSOR_ORDER within the cap
+    raises ValueError before anything is measured.  Each order that a
+    solved manifold needs must have a direction set that resolves its free
+    components, or RankDeficientError says which combinations it leaves
+    open.
     """
     block = as_block_diagonal(state)
     populated = list(block.manifolds)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -50,6 +51,45 @@ def test_state_coherent_poissonian(capsys, tmp_path):
     payload = json.loads(out_path.read_text())
     state = state_from_json(payload)
     assert state.probability(2) == pytest.approx(math.exp(-2.0) * 2.0**2 / 2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("state", "coherent", "--nbar", "2"),
+        ("state", "tmsv", "--nbar", "0.5"),
+        ("profile", "--state", "coherent:nbar=2.0", "--order", "2", "--mesh", "2x2"),
+    ],
+)
+def test_family_defaults_fit_the_manifold_cap(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out
+
+
+# sha256 of the stdout of `stokes-lab state ...`: the subcommands are built
+# from the family table, and explicit flags must keep giving these bytes
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("noon", "--n", "3"), "65a537633189eb9562892d5b3cea5edd04500f500f41bb737a89f6aac758fbb4"),
+        (
+            ("su2", "--n", "4", "--theta", "0.8", "--phi", "0.3"),
+            "164ad3a3e22e3d98b27071f6f9b5b228e88df49ca732155da65bc6e1f2acf871",
+        ),
+        (("twinfock", "--m", "2"), "8d360d15e851a183bdf3a099ac1a2c5c408c1218f5c5c8e72c0b426b9d0e5522"),
+        (("coherent", "--nbar", "2", "--nmax", "25"), "1f249f72566142df3cc2511fb5fa2843b449fcbc464f4eacce32e9c2b9ce93f4"),
+        (("tmsv", "--nbar", "0.5", "--mmax", "14"), "f7c0df18aefa6339e3822d87fddd28bf47620a9e8f52beb9a3c797e78da7f2eb"),
+        (
+            ("unpolarized", "--a", "0.4", "--theta", "1.0"),
+            "77b7a9a39c5bf5d894ac84f40ea79645a901f966bd850829e5f544d663955129",
+        ),
+    ],
+)
+def test_state_bytes_pinned_with_explicit_flags(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "state", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_state_rejects_bad_params(capsys):

@@ -246,21 +246,6 @@ class TestEstimates:
         assert emp.moment(1, 1) is None
 
 
-class TestOrthonormalPolynomials:
-    def test_recurrence_matches_orthonormalized_powers(self):
-        for n in range(0, 9):
-            spectrum = np.arange(n, -n - 1, -2, dtype=float)
-            q, upper = np.linalg.qr(np.vander(spectrum, increasing=True))
-            # fix the QR sign freedom: positive leading coefficients
-            reference = (q * np.sign(np.diag(upper))).T
-            np.testing.assert_allclose(tomography._orthonormal_polynomials(n), reference, rtol=0, atol=1e-13)
-
-    def test_orthonormal_up_to_the_tensor_bound(self):
-        for n in range(MAX_TENSOR_ORDER + 1):
-            t = tomography._orthonormal_polynomials(n)
-            np.testing.assert_allclose(t @ t.T, np.eye(n + 1), rtol=0, atol=1e-12)
-
-
 class TestDirectionSets:
     def test_first_order_axes(self):
         dirs = axes_directions()
@@ -581,6 +566,20 @@ class TestPipeline:
             for seed in range(1, 11)
         ]
         assert np.median(distances) <= 0.05
+        # the fit of every outcome of every direction reads about 0.004 here
+        assert np.median(distances) <= 0.008
+
+    def test_residuals_show_the_misfit_of_counted_laws(self):
+        state = su2_coherent(3, 0.8, 0.3)
+        noisy = run_tomography(state, shots=100_000, seed=3).manifolds[3]
+        exact = run_tomography(state).manifolds[3]
+        assert sorted(noisy.solve_diagnostics) == [1, 2, 3]
+        for diag in noisy.solve_diagnostics.values():
+            assert diag.residual > 1e-4
+        assert noisy.reconstruction.lstsq_residual > 1e-4
+        for diag in exact.solve_diagnostics.values():
+            assert diag.residual <= 1e-12
+        assert exact.reconstruction.lstsq_residual <= 1e-12
 
     def test_manifold_above_the_tensor_bound_rejected_before_measuring(self, monkeypatch):
         def measure(*args, **kwargs):
