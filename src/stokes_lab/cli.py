@@ -1,8 +1,9 @@
 """Command-line front end: state generation, profile meshes, tomography, verification.
 
 All subcommands are deterministic given their flags and seeds; identical
-invocations write identical bytes.  Output format follows the --out file
-extension (.json or .csv); without --out, JSON goes to stdout.
+invocations write identical bytes.  A .csv or .json --out path picks the
+format; any other path, or stdout, gets CSV from factorials and JSON from the
+rest.  Every failure ends in one "error: ..." line on stderr and exit code 1.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 import numpy as np
 
 from . import checks, factorials, serialize, states
-from .errors import RankDeficientError, StokesLabError
+from .errors import StokesLabError
 from .moments import averaged_components
 from .states import as_block_diagonal
 from .tomography import run_tomography
@@ -29,15 +30,20 @@ def _reject_constant(name: str):
     raise ValueError(f"state file holds the non-finite number {name}")
 
 
-def _parse_state_spec(spec: str):
-    """A state spec is either a JSON file path or family:key=value,...
+def _convert(kind, value, message: str):
+    """kind(value), or ValueError(message) when value does not read as kind."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(message) from None
 
-    Returns (block_state, family, params).
-    """
+
+def _parse_state_spec(spec: str):
+    """A state spec is either a JSON file path or family:key=value,...; returns the block state."""
     if ":" not in spec or spec.endswith(".json"):
         with open(spec, "r", encoding="utf-8") as handle:
             payload = json.load(handle, parse_constant=_reject_constant)
-        return serialize.state_from_json(payload), payload.get("type", "custom"), payload.get("params", {})
+        return serialize.state_from_json(payload)
     family, _, raw = spec.partition(":")
     params = {}
     if raw:
@@ -45,8 +51,8 @@ def _parse_state_spec(spec: str):
             key, _, value = item.partition("=")
             if not _:
                 raise ValueError(f"malformed parameter {item!r} in state spec")
-            params[key.strip()] = float(value) if "." in value or "e" in value.lower() else int(value)
-    return _build_family(family.strip(), params), family.strip(), params
+            params[key.strip()] = value
+    return _build_family(family.strip(), params)[0]
 
 
 # family -> (constructor, its parameters in call order with their defaults);
@@ -63,60 +69,54 @@ _FAMILIES = {
 _INTEGER_PARAMS = {"n", "m", "nmax", "mmax"}
 
 
-def _build_family(family: str, params: dict):
-    """Check a family's parameters by name and type, then build the state."""
+def _build_family(family: str, params: dict) -> tuple:
+    """Check a family's parameters by name, convert each to its declared type, build the state.
+
+    Returns (block state, the converted parameters).
+    """
     if family not in _FAMILIES:
         raise ValueError(f"unknown state family {family!r}")
     build, defaults = _FAMILIES[family]
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"state family {family!r} takes no parameter {', '.join(unknown)}")
-    values = []
+    values = {}
     for key, default in defaults.items():
         value = params.get(key, default)
         if value is None:
             raise ValueError(f"state family {family!r} needs the parameter {key}")
-        if key in _INTEGER_PARAMS and not isinstance(value, int):
-            raise ValueError(f"parameter {key} must be an integer, got {value!r}")
-        values.append(value if key in _INTEGER_PARAMS else float(value))
-    return as_block_diagonal(build(*values))
+        kind, noun = (int, "an integer") if key in _INTEGER_PARAMS else (float, "a number")
+        values[key] = _convert(kind, value, f"parameter {key} must be {noun}, got {value!r}")
+    return as_block_diagonal(build(*values.values())), values
 
 
-def _family_from_args(args) -> tuple:
-    params = {key: getattr(args, key) for key in _FAMILIES[args.family][1]}
-    return _build_family(args.family, params), args.family, params
+def _emit(out_path: str | None, payload, csv_rows=None, csv_default: bool = False) -> None:
+    """Write payload as JSON, or csv_rows (header first) as CSV, to out_path or stdout.
 
-
-def _emit(payload, out_path: str | None) -> None:
-    text = serialize.dumps(payload)
-    if out_path is None:
-        sys.stdout.write(text + "\n")
-        return
-    if out_path.endswith(".csv"):
+    csv_rows is read only when CSV is written; None marks a JSON-only payload.
+    """
+    as_csv = csv_default
+    if out_path is not None and out_path.endswith((".csv", ".json")):
+        as_csv = out_path.endswith(".csv")
+    if not as_csv:
+        text = serialize.dumps(payload) + "\n"
+    elif csv_rows is None:
         raise ValueError("this payload is JSON-only; use a .json path")
-    with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-
-
-def _emit_mesh(mesh, out_path: str | None) -> None:
-    theta_deg, phi_deg, values = mesh
-    if out_path is not None and out_path.endswith(".csv"):
+    else:
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["theta_deg", "phi_deg", "value"])
-        for i, th in enumerate(theta_deg):
-            for j, ph in enumerate(phi_deg):
-                writer.writerow([th, ph, repr(values[i][j])])
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(buffer.getvalue())
+        csv.writer(buffer, lineterminator="\n").writerows(csv_rows)
+        text = buffer.getvalue()
+    if out_path is None:
+        sys.stdout.write(text)
         return
-    payload = {"theta_deg": list(theta_deg), "phi_deg": list(phi_deg), "values": values}
-    _emit(payload, out_path)
+    with open(out_path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _cmd_state(args) -> int:
-    state, family, params = _family_from_args(args)
-    _emit(serialize.state_to_json(state, family=family, params=params), args.out)
+    params = {key: getattr(args, key) for key in _FAMILIES[args.family][1]}
+    state, params = _build_family(args.family, params)
+    _emit(args.out, serialize.state_to_json(state, family=args.family, params=params))
     return 0
 
 
@@ -142,39 +142,41 @@ def _profile_mesh(state, order: int, mesh_shape) -> tuple:
     return theta_deg, phi_deg, (a @ b).tolist()
 
 
+def _mesh_rows(theta_deg, phi_deg, values):
+    yield ("theta_deg", "phi_deg", "value")
+    for th, row in zip(theta_deg, values):
+        for ph, value in zip(phi_deg, row):
+            yield th, ph, repr(value)
+
+
 def _cmd_profile(args) -> int:
-    state, _, _ = _parse_state_spec(args.state)
+    state = _parse_state_spec(args.state)
     shape = DEFAULT_MESH
     if args.mesh:
-        parts = args.mesh.lower().split("x")
-        if len(parts) != 2:
-            raise ValueError("mesh must look like 181x361")
-        shape = (int(parts[0]), int(parts[1]))
+        message = f"mesh must look like 181x361, got {args.mesh!r}"
+        shape = tuple(_convert(int, part, message) for part in args.mesh.lower().split("x"))
+        if len(shape) != 2:
+            raise ValueError(message)
         if min(shape) < 2:
             raise ValueError("mesh needs at least two points per axis")
-    mesh = _profile_mesh(state, args.order, shape)
-    _emit_mesh(mesh, args.out)
+    theta_deg, phi_deg, values = _profile_mesh(state, args.order, shape)
+    payload = {"theta_deg": theta_deg, "phi_deg": phi_deg, "values": values}
+    _emit(args.out, payload, _mesh_rows(theta_deg, phi_deg, values))
     return 0
 
 
 def _cmd_tomography(args) -> int:
-    state, _, _ = _parse_state_spec(args.state)
-    shots = None if args.shots in (None, "inf") else int(args.shots)
-    try:
-        result = run_tomography(
-            state,
-            shots=shots,
-            seed=args.seed,
-            direction_mode=args.directions,
-            max_order=args.order,
-        )
-    except RankDeficientError as exc:
-        sys.stderr.write(
-            f"tomography failed: {exc} (rank {exc.rank}, condition number {exc.condition_number:.3e})\n"
-        )
-        return 1
-    payload = serialize.result_to_json(result, include_records=args.records)
-    _emit(payload, args.out)
+    state = _parse_state_spec(args.state)
+    message = f"shots must be a positive integer or 'inf', got {args.shots!r}"
+    shots = None if args.shots in (None, "inf") else _convert(int, args.shots, message)
+    result = run_tomography(
+        state,
+        shots=shots,
+        seed=args.seed,
+        direction_mode=args.directions,
+        max_order=args.order,
+    )
+    _emit(args.out, serialize.result_to_json(result, include_records=args.records))
     if result.skipped:
         sys.stderr.write(f"skipped manifolds: {result.skipped}\n")
     return 0
@@ -191,24 +193,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_factorials(args) -> int:
+    header = ("kind", "n", "k", "value")
     table = factorials.CentralFactorialTable(args.max_n)
-    rows = list(table.rows())
-    if args.out and args.out.endswith(".json"):
-        payload = [
-            {"kind": kind, "n": n, "k": k, "value": str(value)} for kind, n, k, value in rows
-        ]
-        _emit(payload, args.out)
-        return 0
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["kind", "n", "k", "value"])
-    for kind, n, k, value in rows:
-        writer.writerow([kind, n, k, str(value)])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(buffer.getvalue())
-    else:
-        sys.stdout.write(buffer.getvalue())
+    rows = [(kind, n, k, str(value)) for kind, n, k, value in table.rows()]
+    _emit(args.out, [dict(zip(header, row)) for row in rows], [header, *rows], csv_default=True)
     return 0
 
 
@@ -224,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     for family, (_, defaults) in _FAMILIES.items():
         family_p = state_sub.add_parser(family)
         for key, default in defaults.items():
-            kind = int if key in _INTEGER_PARAMS else float
-            family_p.add_argument(f"--{key}", type=kind, default=default, required=default is None)
+            family_p.add_argument(f"--{key}", default=default, required=default is None)
         family_p.add_argument("--out", default=None)
 
     profile = sub.add_parser("profile", help="export a direction-moment mesh")

@@ -33,7 +33,7 @@ class RankDeficientError(StokesLabError):
     """
 
     def __init__(self, message, rank, expected, condition_number, deficient_directions):
-        super().__init__(message)
+        super().__init__(f"{message} (rank {rank}, condition number {condition_number:.3e})")
         self.rank = rank
         self.expected = expected
         self.condition_number = condition_number

@@ -22,13 +22,10 @@ from .tomography import (
 from .fock import Direction
 
 
-def _complex_matrix(values) -> list:
+def _complex_pairs(values) -> list:
+    """Nested lists of the same shape, each complex entry as [re, im]."""
     arr = np.asarray(values, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
-
-
-def _complex_vector(values) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex)]
+    return np.stack((arr.real, arr.imag), -1).tolist()
 
 
 def _matrix_back(rows) -> np.ndarray:
@@ -40,7 +37,7 @@ def _vector_back(pairs) -> np.ndarray:
 
 
 def operator_to_json(operator, n_photons: int) -> dict:
-    return {"N": int(n_photons), "rows": _complex_matrix(operator)}
+    return {"N": int(n_photons), "rows": _complex_pairs(operator)}
 
 
 def operator_from_json(payload) -> tuple[np.ndarray, int]:
@@ -50,9 +47,9 @@ def operator_from_json(payload) -> tuple[np.ndarray, int]:
 def _block_to_json(n_photons: int, probability: float, state: ManifoldState) -> dict:
     block = {"N": int(n_photons), "pN": float(probability)}
     if state.is_pure:
-        block["vector"] = _complex_vector(state.amplitudes)
+        block["vector"] = _complex_pairs(state.amplitudes)
     else:
-        block["matrix"] = _complex_matrix(state.matrix)
+        block["matrix"] = _complex_pairs(state.matrix)
     return block
 
 
@@ -78,14 +75,22 @@ def _field(payload, key: str, where: str):
     return payload[key]
 
 
+def _number_field(payload, key: str, where: str, kind, noun: str):
+    # bool is a subclass of int, but a JSON true is no photon number
+    value = _field(payload, key, where)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where} field {key!r} must be {noun}, got {value!r}")
+    return value
+
+
 def state_from_json(payload) -> BlockDiagonalState:
     """Read a state_to_json payload; a malformed one raises ValueError."""
     blocks = []
     try:
         for i, entry in enumerate(_field(payload, "blocks", "state")):
             where = f"state block {i}"
-            n = int(_field(entry, "N", where))
-            probability = float(_field(entry, "pN", where))
+            n = _number_field(entry, "N", where, int, "an integer")
+            probability = float(_number_field(entry, "pN", where, (int, float), "a number"))
             if "vector" in entry:
                 state = ManifoldState.pure(n, _vector_back(entry["vector"]))
             elif "matrix" in entry:
@@ -105,7 +110,7 @@ def tensor_to_json(tensor: PolarizationTensor) -> dict:
         "order": tensor.order,
         "N": tensor.n_photons,
         "index_convention": "leftmost subscript slowest",
-        "entries": _complex_vector(flat),
+        "entries": _complex_pairs(flat),
     }
 
 
@@ -155,7 +160,7 @@ def manifold_reconstruction_to_json(rec: ManifoldReconstruction) -> dict:
         "pN_error": rec.probability_error,
         "moment_components": {str(r): components_to_json(c) for r, c in rec.components.items()},
         "tensors": {str(r): tensor_to_json(t) for r, t in rec.tensors.items()},
-        "rho": _complex_matrix(rec.state.density()),
+        "rho": _complex_pairs(rec.state.density()),
         "diagnostics": {
             "condition_number": max(
                 (d.condition_number for d in rec.solve_diagnostics.values()), default=1.0

@@ -418,6 +418,7 @@ def unpolarized_two_photon(a: float, theta: float) -> ManifoldState:
     a e^(-i theta)|2,0> + i sqrt(1-2a^2)|1,1> + a e^(i theta)|0,2>,
     0 <= a <= 1/sqrt(2).  Equals a rotated two-photon NOON state.
     """
+    check_finite("parameters (a, theta)", (a, theta))
     if not 0.0 <= a <= 1.0 / math.sqrt(2.0) + 1e-15:
         raise ValueError(f"a must lie in [0, 1/sqrt(2)], got {a}")
     middle = 1.0 - 2.0 * a * a

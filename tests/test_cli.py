@@ -138,7 +138,7 @@ def test_profile_csv_twin_fock_odd_order_zero(capsys, tmp_path):
 )
 @pytest.mark.parametrize("order", range(1, 8))
 def test_profile_mesh_matches_scalar_evaluation(spec, order):
-    state = _parse_state_spec(spec)[0]
+    state = _parse_state_spec(spec)
     comp = averaged_components(state, order)
     rng = np.random.default_rng(order)
     for shape in [(2, 2), (7, 9), (181, 361)]:
@@ -235,6 +235,7 @@ def test_tomography_symmetric_set_fails_with_rank_report(capsys):
     )
     assert code == 1
     assert "rank 4" in err
+    assert err.startswith("error: ") and "condition number" in err and err.count("\n") == 1
 
 
 def test_tomography_every_manifold_skipped_fails_with_reasons(capsys):
@@ -271,6 +272,7 @@ def test_state_file_with_non_finite_number_rejected(capsys, tmp_path, literal):
         ("noon:", "needs the parameter n"),
         ("noon:n=2.7", "must be an integer"),
         ("noon:n=2,m=5", "takes no parameter m"),
+        ("su2:n=2,theta=inf", "angles (theta, phi) must be finite"),
     ],
 )
 def test_malformed_state_spec_rejected(capsys, spec, message):
@@ -292,6 +294,14 @@ BLOCK = {"N": 1, "pN": 1.0, "vector": [[1.0, 0.0], [0.0, 0.0]]}
         ({"blocks": [{"N": 1, "pN": 1.0}]}, "neither a 'vector' nor a 'matrix'"),
         ({"blocks": 5}, "malformed state"),
         ({"blocks": [BLOCK], "truncation_deficit": -5}, "truncation deficit must lie in [0, 1)"),
+        (
+            {"blocks": [{"N": 2.5, "pN": 1.0, "vector": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}]},
+            "state block 0 field 'N' must be an integer, got 2.5",
+        ),
+        ({"blocks": [{**BLOCK, "N": True}]}, "state block 0 field 'N' must be an integer, got True"),
+        ({"blocks": [{**BLOCK, "N": "1"}]}, "state block 0 field 'N' must be an integer, got '1'"),
+        ({"blocks": [{**BLOCK, "pN": "1.0"}]}, "state block 0 field 'pN' must be a number, got '1.0'"),
+        ({"blocks": [{**BLOCK, "pN": True}]}, "state block 0 field 'pN' must be a number, got True"),
     ],
 )
 def test_malformed_state_file_rejected(capsys, tmp_path, payload, message):
@@ -301,6 +311,71 @@ def test_malformed_state_file_rejected(capsys, tmp_path, payload, message):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("profile", "--state", "noon:n=2", "--order", "1", "--mesh", "3x"), "mesh must look like 181x361"),
+        (("profile", "--state", "noon:n=2", "--order", "1", "--mesh", "axb"), "mesh must look like 181x361"),
+        (("tomography", "--state", "noon:n=2", "--shots", "1e5"), "shots must be a positive integer or 'inf'"),
+        (("state", "noon", "--n", "2.5"), "parameter n must be an integer"),
+    ],
+)
+def test_flag_value_rejected_with_its_expected_form(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "invalid literal" not in err
+
+
+def test_non_finite_unpolarized_parameter_rejected_without_warning(capsys, recwarn):
+    code, out, err = run_cli(capsys, "state", "unpolarized", "--a", "0.3", "--theta", "inf")
+    assert code == 1 and out == ""
+    assert err == "error: parameters (a, theta) must be finite, not NaN or infinite\n"
+    assert not recwarn.list
+
+
+PROFILE_ARGS = ("profile", "--state", "su2:n=3,theta=0.4,phi=1.0", "--order", "3", "--mesh", "5x7")
+FACTORIAL_ARGS = ("factorials", "--max-n", "6")
+CSV_HEADERS = {"profile": ["theta_deg", "phi_deg", "value"], "factorials": ["kind", "n", "k", "value"]}
+
+
+@pytest.mark.parametrize(
+    "argv, suffix, written",
+    [
+        (PROFILE_ARGS, ".csv", "csv"),
+        (PROFILE_ARGS, ".json", "json"),
+        (PROFILE_ARGS, ".txt", "json"),
+        (PROFILE_ARGS, None, "json"),
+        (FACTORIAL_ARGS, None, "csv"),
+        (FACTORIAL_ARGS, ".csv", "csv"),
+        (FACTORIAL_ARGS, ".txt", "csv"),
+        (FACTORIAL_ARGS, ".json", "json"),
+        (("state", "noon", "--n", "3"), ".csv", None),
+        (("tomography", "--state", "noon:n=2", "--shots", "inf"), ".csv", None),
+    ],
+)
+def test_out_extension_picks_the_format(capsys, tmp_path, argv, suffix, written):
+    path = tmp_path / f"out{suffix}"
+    code, out, err = run_cli(capsys, *argv, *(() if suffix is None else ("--out", str(path))))
+    if written is None:
+        assert code == 1 and out == "" and not path.exists()
+        assert err.startswith("error: ") and "JSON-only" in err
+        return
+    assert code == 0
+    if suffix is not None:
+        assert out == ""
+        out = path.read_text()
+    if written == "csv":
+        assert next(csv.reader(out.splitlines())) == CSV_HEADERS[argv[0]]
+        return
+    payload = json.loads(out)
+    if argv[0] == "profile":
+        assert sorted(payload) == ["phi_deg", "theta_deg", "values"]
+        return
+    csv_rows = list(csv.DictReader(run_cli(capsys, *FACTORIAL_ARGS)[1].splitlines()))
+    assert [{key: str(value) for key, value in row.items()} for row in payload] == csv_rows
 
 
 def test_verify_unknown_suite_rejected(capsys):

@@ -29,7 +29,7 @@ from stokes_lab.states import (
     two_photon_density,
     unpolarized_two_photon,
 )
-from stokes_lab.serialize import state_from_json, state_to_json
+from stokes_lab.serialize import _complex_pairs, dumps, state_from_json, state_to_json
 
 from conftest import random_direction, random_pure
 
@@ -468,6 +468,20 @@ def test_state_serialization_round_trip(rng):
     for n in state.manifolds:
         np.testing.assert_allclose(back.block(n).density(), state.block(n).density(), atol=1e-12)
     assert payload["type"] == "coherent"
+
+
+def test_complex_pairs_match_the_entrywise_writer(rng):
+    specials = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, 1.0 / 3.0]
+    z = np.empty(3**6, dtype=complex)
+    z.real = rng.normal(size=z.size) * 10.0 ** rng.integers(-300, 300, size=z.size)
+    z.imag = rng.normal(size=z.size)
+    z.real[: len(specials)] = specials
+    z.imag[len(specials) : 2 * len(specials)] = specials
+    entrywise = [[float(v.real), float(v.imag)] for v in z]
+    assert dumps(_complex_pairs(z)) == dumps(entrywise)
+    matrix = z.reshape(27, 27)
+    rows = [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
+    assert dumps(_complex_pairs(matrix)) == dumps(rows)
 
 
 def test_degree_of_polarization_examples():
