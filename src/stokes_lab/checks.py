@@ -178,10 +178,8 @@ def verify_tomography() -> list[CheckResult]:
     dev = float(np.abs(closed.as_vector() - solved.as_vector()).max())
     out.append(_result("tomography", "second-order-dual-route", dev <= 1e-9, f"max dev {dev:.2e}"))
 
-    sv = tomography.reduced_design_singular_values(
-        tomography.third_order_symmetric_directions().directions, 3
-    )
-    rank = int((sv > sv[0] * 1e-12).sum())
+    _, _, svd = tomography.reduced_design(tomography.third_order_symmetric_directions().directions, 3)
+    rank, sv = int(svd.rank), svd.sv
     out.append(
         _result(
             "tomography",
@@ -190,15 +188,13 @@ def verify_tomography() -> list[CheckResult]:
             f"rank {rank}, sigma5/sigma1 {sv[4] / sv[0]:.2e}",
         )
     )
-    sv_fb = tomography.reduced_design_singular_values(
-        tomography.third_order_fallback_directions().directions, 3
-    )
-    cond = float(sv_fb[0] / sv_fb[-1])
+    _, _, svd = tomography.reduced_design(tomography.third_order_fallback_directions().directions, 3)
+    cond = float(svd.condition_number)
     out.append(
         _result(
             "tomography",
             "fallback-conditioning",
-            int((sv_fb > sv_fb[0] * 1e-12).sum()) == 7 and cond < 100.0,
+            svd.rank == 7 and cond < 100.0,
             f"cond {cond:.2f}",
         )
     )

@@ -28,12 +28,22 @@ def _complex_pairs(values) -> list:
     return np.stack((arr.real, arr.imag), -1).tolist()
 
 
-def _matrix_back(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def _typed(value, kind, message: str):
+    # bool is a subclass of int, but a JSON true is no number
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{message}, got {value!r}")
+    return value
 
 
-def _vector_back(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs])
+def _complex_back(pairs, where: str, ndim: int) -> np.ndarray:
+    """Complex vector (ndim 2) or matrix (ndim 3) from nested [re, im] pairs of JSON numbers."""
+    values = np.array(pairs, dtype=object)
+    if values.ndim != ndim or values.shape[-1] != 2:
+        raise ValueError(f"{where} must be {'a list' if ndim == 2 else 'rows'} of [re, im] pairs")
+    message = f"{where} must hold [re, im] pairs of numbers"
+    for value in values.flat:
+        _typed(value, (int, float), message)
+    return values.astype(float).view(complex)[..., 0]
 
 
 def operator_to_json(operator, n_photons: int) -> dict:
@@ -41,7 +51,7 @@ def operator_to_json(operator, n_photons: int) -> dict:
 
 
 def operator_from_json(payload) -> tuple[np.ndarray, int]:
-    return _matrix_back(payload["rows"]), int(payload["N"])
+    return _complex_back(payload["rows"], "operator field 'rows'", 3), int(payload["N"])
 
 
 def _block_to_json(n_photons: int, probability: float, state: ManifoldState) -> dict:
@@ -76,11 +86,7 @@ def _field(payload, key: str, where: str):
 
 
 def _number_field(payload, key: str, where: str, kind, noun: str):
-    # bool is a subclass of int, but a JSON true is no photon number
-    value = _field(payload, key, where)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{where} field {key!r} must be {noun}, got {value!r}")
-    return value
+    return _typed(_field(payload, key, where), kind, f"{where} field {key!r} must be {noun}")
 
 
 def state_from_json(payload) -> BlockDiagonalState:
@@ -92,14 +98,16 @@ def state_from_json(payload) -> BlockDiagonalState:
             n = _number_field(entry, "N", where, int, "an integer")
             probability = float(_number_field(entry, "pN", where, (int, float), "a number"))
             if "vector" in entry:
-                state = ManifoldState.pure(n, _vector_back(entry["vector"]))
+                state = ManifoldState.pure(n, _complex_back(entry["vector"], f"{where} field 'vector'", 2))
             elif "matrix" in entry:
-                state = ManifoldState.mixed(n, _matrix_back(entry["matrix"]))
+                state = ManifoldState.mixed(n, _complex_back(entry["matrix"], f"{where} field 'matrix'", 3))
             else:
                 raise ValueError(f"{where} has neither a 'vector' nor a 'matrix' field")
             blocks.append((n, probability, state))
-        deficit = float(payload.get("truncation_deficit", 0.0))
-    except TypeError as exc:
+        deficit = 0.0
+        if "truncation_deficit" in payload:
+            deficit = float(_number_field(payload, "truncation_deficit", "state", (int, float), "a number"))
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed state: {exc}") from exc
     return BlockDiagonalState(tuple(blocks), truncation_deficit=deficit)
 
@@ -136,12 +144,15 @@ def record_to_json(record: MeasurementRecord) -> dict:
 
 
 def record_from_json(payload) -> MeasurementRecord:
+    """Read a record_to_json payload; a field of the wrong type raises ValueError."""
     setting = MeasurementSetting(
-        Direction.from_vector(payload["direction"]),
-        int(payload["shots"]),
-        int(payload["seed"]),
+        Direction.from_vector(_field(payload, "direction", "record")),
+        *(_number_field(payload, key, "record", int, "an integer") for key in ("shots", "seed")),
     )
-    counts = {(int(e["N"]), int(e["s"])): int(e["count"]) for e in payload["counts"]}
+    counts = {}
+    for i, entry in enumerate(_field(payload, "counts", "record")):
+        n, s, c = (_number_field(entry, key, f"record count {i}", int, "an integer") for key in ("N", "s", "count"))
+        counts[(n, s)] = c
     return MeasurementRecord(setting, counts)
 
 

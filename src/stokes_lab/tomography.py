@@ -17,7 +17,7 @@ components of each order (solve_moment_components), tensor assembly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -90,12 +90,6 @@ class MeasurementRecord:
         if total != self.setting.shots:
             raise ValueError(f"counts total {total} differs from shots {self.setting.shots}")
 
-    def manifold_totals(self) -> dict:
-        out: dict[int, int] = {}
-        for (n, _), c in self.counts.items():
-            out[n] = out.get(n, 0) + c
-        return out
-
 
 def outcome_distribution(state, n) -> dict:
     """Joint law over (photon number, difference eigenvalue) for one direction.
@@ -118,12 +112,23 @@ def outcome_distribution(state, n) -> dict:
     return {k: v / total for k, v in dist.items() if v > 0.0}
 
 
+def _split_by_manifold(tally: dict) -> dict:
+    """Weight and conditional outcome law of every manifold in one tally.
+
+    tally maps (N, eigenvalue) to a probability or a count.  Manifold N maps
+    to (its summed tally, the shares of its eigenvalues N-2k, k = 0..N);
+    manifolds without outcomes have no entry.
+    """
+    tallies: dict[int, np.ndarray] = {}
+    for (n, s), weight in tally.items():
+        tallies.setdefault(n, np.zeros(n + 1))[(n - s) // 2] = weight
+    return {n: (float(w), t / w) for n, t in tallies.items() if (w := t.sum()) > 0.0}
+
+
 def distribution_moment(distribution: dict, order: int, n_photons: int) -> float | None:
     """Manifold-conditioned moment of the eigenvalue, or None if unpopulated."""
-    weight = sum(p for (n, _), p in distribution.items() if n == n_photons)
-    if weight <= 0.0:
-        return None
-    return sum(p * s**order for (n, s), p in distribution.items() if n == n_photons) / weight
+    _, law = _split_by_manifold(distribution).get(n_photons, (None, None))
+    return None if law is None else float(law @ (n_photons - 2.0 * np.arange(n_photons + 1)) ** order)
 
 
 def simulate_measurement(state, setting: MeasurementSetting) -> MeasurementRecord:
@@ -179,19 +184,15 @@ def estimate_moments(record: MeasurementRecord, orders) -> EmpiricalMoments:
     if any(r < 0 for r in orders):
         raise ValueError("orders must be non-negative")
     shots = record.setting.shots
-    totals = record.manifold_totals()
     probs = {}
     moments = {}
-    for n, tot in sorted(totals.items()):
+    for n, (tot, law) in sorted(_split_by_manifold(record.counts).items()):
         p_hat = tot / shots
         probs[n] = MomentEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / shots))
-        values = np.array([s for (nn, s) in record.counts if nn == n], dtype=float)
-        weights = np.array([record.counts[(n, int(s))] for s in values], dtype=float)
         for r in orders:
-            powered = values**r
-            mean = float(powered @ weights / tot)
-            second = float((powered**2) @ weights / tot)
-            var = max(second - mean * mean, 0.0)
+            powered = (n - 2.0 * np.arange(n + 1)) ** r
+            mean = float(powered @ law)
+            var = max(float(powered**2 @ law) - mean * mean, 0.0)
             moments[(n, r)] = MomentEstimate(mean, math.sqrt(var / tot))
     return EmpiricalMoments(shots, probs, moments)
 
@@ -208,7 +209,6 @@ class DirectionSet:
     order: int
     directions: tuple
     tags: tuple = ()
-    rank_deficient: bool = False
 
 
 def axes_directions() -> DirectionSet:
@@ -249,9 +249,7 @@ def third_order_symmetric_directions() -> DirectionSet:
     carries four independent measurements.
     """
     dirs = tuple(Direction.from_vector(v) for v in np.eye(3)) + _diagonal_lines()
-    return DirectionSet(
-        "symmetric-seven", 3, dirs, tags=("max-min-angle lines",), rank_deficient=True
-    )
+    return DirectionSet("symmetric-seven", 3, dirs, tags=("max-min-angle lines",))
 
 
 # Derived once by derive_third_order_fallback() and frozen for bit-stable output.
@@ -274,14 +272,12 @@ def third_order_fallback_directions() -> DirectionSet:
 
 
 def design_matrix(directions, order: int) -> np.ndarray:
-    """Rows of direction monomials over the component classes of one order."""
-    rows = []
-    for d in directions:
-        dd = as_direction(d)
-        rows.append(
-            [dd.x**k * dd.y**l * dd.z ** (order - k - l) for k, l in component_classes(order)]
-        )
-    return np.array(rows)
+    """Rows of direction monomials x^k y^l z^(r-k-l) over the component classes of one order."""
+    k, l = np.array(component_classes(order)).T
+    # Python powers, multiplied x, y, z into a row-major array: the bits of a
+    # row-by-row build, on which the pinned searched sets depend
+    powers = np.array([[[c**e for e in range(order + 1)] for c in (d.x, d.y, d.z)] for d in map(as_direction, directions)])
+    return np.ascontiguousarray(powers[:, 0, k] * powers[:, 1, l] * powers[:, 2, order - k - l])
 
 
 def casimir_constraint_matrix(order: int) -> np.ndarray:
@@ -309,10 +305,35 @@ def constraint_nullspace(order: int) -> np.ndarray:
     return vt[b.shape[0] :].T
 
 
+class DesignSVD(NamedTuple):
+    """Thin SVD of a reduced design, or of a stack of them, read by the rank rule."""
+
+    u: np.ndarray
+    sv: np.ndarray
+    vt: np.ndarray
+    rank: np.ndarray  # singular values above RANK_TOL times the largest
+    condition_number: np.ndarray  # largest over smallest singular value
+
+
+def _design_svd(reduced: np.ndarray) -> DesignSVD:
+    """The one route from reduced designs to their rank and conditioning."""
+    u, sv, vt = np.linalg.svd(reduced, full_matrices=False)
+    with np.errstate(divide="ignore"):
+        condition = sv[..., 0] / sv[..., -1]
+    return DesignSVD(u, sv, vt, (sv > sv[..., :1] * RANK_TOL).sum(axis=-1), condition)
+
+
+def reduced_design(directions, order: int) -> tuple[np.ndarray, np.ndarray, DesignSVD]:
+    """Design of a direction set, the constraint null space, and the SVD of
+    their product, the design restricted to the free component subspace."""
+    a = design_matrix(directions, order)
+    null = constraint_nullspace(order)
+    return a, null, _design_svd(a @ null)
+
+
 def reduced_design_singular_values(directions, order: int) -> np.ndarray:
     """Singular values of the design restricted to the free component subspace."""
-    a = design_matrix(directions, order)
-    return np.linalg.svd(a @ constraint_nullspace(order), compute_uv=False)
+    return reduced_design(directions, order)[2].sv
 
 
 def derive_third_order_fallback(seed: int = 0xD1CE, iterations: int = 400, step: float = 0.08):
@@ -333,12 +354,10 @@ def derive_third_order_fallback(seed: int = 0xD1CE, iterations: int = 400, step:
     current = [tilt(np.eye(3)[i], diagonals[i], math.pi / 6.0) for i in range(3)]
 
     def cond(axes):
-        sv = reduced_design_singular_values(
+        _, _, svd = reduced_design(
             [Direction.from_vector(v, normalize=True) for v in axes] + list(_diagonal_lines()), 3
         )
-        if sv[-1] <= sv[0] * RANK_TOL:
-            return math.inf
-        return sv[0] / sv[-1]
+        return svd.condition_number if svd.rank == independent_moment_count(3) else math.inf
 
     best = cond(current)
     gen = np.random.Generator(np.random.Philox(key=seed))
@@ -371,11 +390,8 @@ def generic_directions(order: int) -> DirectionSet:
     lines = [Direction.from_vector(v, normalize=True) for v in pool]
     reduced = design_matrix(lines, order) @ constraint_nullspace(order)
     picks = np.array([gen.choice(GENERIC_CANDIDATES, size=n_free, replace=False) for _ in range(200)])
-    sv = np.linalg.svd(reduced[picks], compute_uv=False)
-    resolved = sv[:, -1] > sv[:, 0] * RANK_TOL
-    cond = np.full(len(picks), math.inf)
-    cond[resolved] = sv[resolved, 0] / sv[resolved, -1]
-    best = picks[int(np.argmin(cond))]
+    svd = _design_svd(reduced[picks])
+    best = picks[int(np.argmin(np.where(svd.rank == n_free, svd.condition_number, math.inf)))]
     return DirectionSet(
         f"generic-{order}",
         order,
@@ -446,30 +462,21 @@ class SolveDiagnostics:
     rank: int
 
 
-def _checked_design(directions, order: int):
-    """Design of one direction set and the SVD of its reduced form.
-
-    The reduced design acts on the free component subspace left by the
-    order-coupling constraints.  Returns (design, null-space basis,
-    (u, sv, vt), SolveDiagnostics with a zero residual).  A numerically
-    rank-deficient reduced design raises RankDeficientError naming the
-    unresolved component combinations.
-    """
+def _checked_design(directions, order: int) -> tuple[np.ndarray, np.ndarray, DesignSVD]:
+    """reduced_design of a direction set that resolves every free component;
+    otherwise RankDeficientError names the unresolved component combinations."""
     n_free = independent_moment_count(order)
-    a = design_matrix(directions, order)
-    null = constraint_nullspace(order)
-    u, sv, vt = np.linalg.svd(a @ null, full_matrices=False)
-    rank = int((sv > sv[0] * RANK_TOL).sum()) if sv.size else 0
-    condition = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else math.inf
+    a, null, svd = reduced_design(directions, order)
+    rank = int(svd.rank)
     if rank < n_free:
         raise RankDeficientError(
             f"order-{order} design resolves only {rank} of {n_free} component combinations",
             rank=rank,
             expected=n_free,
-            condition_number=condition,
-            deficient_directions=(null @ vt[rank:].T).T,
+            condition_number=float(svd.condition_number),
+            deficient_directions=(null @ svd.vt[rank:].T).T,
         )
-    return a, null, (u, sv, vt), SolveDiagnostics(condition, 0.0, rank)
+    return a, null, svd
 
 
 def _constraint_rhs(order: int, n_photons: int, lower_arrays: dict) -> np.ndarray:
@@ -541,15 +548,15 @@ def solve_moment_components(
         particular, *_ = np.linalg.lstsq(casimir_constraint_matrix(order), rhs, rcond=None)
     else:
         particular = np.zeros(moment_component_count(order))
-    a, null, (u, sv, vt), diagnostics = _checked_design(dirs, order)
+    a, null, svd = _checked_design(dirs, order)
     target = values - a @ particular
-    solution = vt.T @ ((u.T @ target) / sv)
+    solution = svd.vt.T @ ((svd.u.T @ target) / svd.sv)
     x = particular + null @ solution
     residual = float(np.linalg.norm((a @ null) @ solution - target))
     components = MomentComponents(
         order, n_photons, dict(zip(component_classes(order), x))
     )
-    return components, replace(diagnostics, residual=residual)
+    return components, SolveDiagnostics(float(svd.condition_number), residual, int(svd.rank))
 
 
 def assemble_all_tensors(components_by_order: dict, n_photons: int) -> dict:
@@ -589,8 +596,9 @@ class ReconstructionDiagnostics:
     projection_distance: float
 
 
-def project_to_physical(matrix: np.ndarray) -> tuple[np.ndarray, ReconstructionDiagnostics]:
-    """Clip negative eigenvalues and renormalize the trace to one."""
+def project_to_physical(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """Clip negative eigenvalues and renormalize the trace to one; returns the
+    projected matrix and its trace distance from the Hermitian part of matrix."""
     hermitian = (matrix + matrix.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(hermitian)
     clipped = np.clip(evals, 0.0, None)
@@ -598,12 +606,7 @@ def project_to_physical(matrix: np.ndarray) -> tuple[np.ndarray, ReconstructionD
     if total <= 0.0:
         raise NonPhysicalStateError("reconstruction collapsed to the zero matrix")
     projected = (evecs * (clipped / total)) @ evecs.conj().T
-    diag = ReconstructionDiagnostics(
-        system_rank=-1,
-        lstsq_residual=0.0,
-        projection_distance=trace_distance(hermitian, projected),
-    )
-    return projected, diag
+    return projected, trace_distance(hermitian, projected)
 
 
 def reconstruct_density(tensors: dict, n_photons: int) -> tuple[ManifoldState, ReconstructionDiagnostics]:
@@ -641,12 +644,10 @@ def reconstruct_density(tensors: dict, n_photons: int) -> tuple[ManifoldState, R
         raise StokesLabError(
             f"ordered products span only {rank} of {dim * dim} dimensions on manifold {n_photons}"
         )
-    solution, residuals, _, _ = np.linalg.lstsq(a, b, rcond=None)
+    solution, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.linalg.norm(a @ solution - b))
-    raw = solution.reshape(dim, dim)
-    projected, proj_diag = project_to_physical(raw)
-    diagnostics = replace(proj_diag, system_rank=rank, lstsq_residual=residual)
-    return ManifoldState.mixed(n_photons, projected), diagnostics
+    projected, distance = project_to_physical(solution.reshape(dim, dim))
+    return ManifoldState.mixed(n_photons, projected), ReconstructionDiagnostics(rank, residual, distance)
 
 
 # ---------------------------------------------------------------------------
@@ -683,26 +684,6 @@ class ReconstructionResult:
         return BlockDiagonalState(tuple((n, p / total, s) for n, p, s in blocks))
 
 
-def _setting_seed(base_seed: int, index: int) -> int:
-    # disjoint Philox keys per setting; base seed must fit 64 bits
-    if not 0 <= base_seed < (1 << 64):
-        raise ValueError("base seed must fit 64 bits")
-    return (base_seed << 32) + index
-
-
-def _manifold_laws(tally: dict) -> dict:
-    """Conditional outcome laws of every manifold along one direction.
-
-    tally maps (N, eigenvalue) to a probability or a count.  Entry k of the
-    law of manifold N is the share of eigenvalue N-2k among that manifold's
-    outcomes; manifolds without outcomes have no law.
-    """
-    laws: dict[int, np.ndarray] = {}
-    for (n, s), weight in tally.items():
-        laws.setdefault(n, np.zeros(n + 1))[(n - s) // 2] = weight
-    return {n: law / law.sum() for n, law in laws.items()}
-
-
 def _solve_manifold(n_photons, probability, probability_error, measured, bases, design):
     """Reconstruct one manifold from the outcome laws of all its directions.
 
@@ -716,9 +697,9 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases, 
     multipole rows t_r(d.S) (x) t_r(d.S), every direction informs every
     rank, not only its own order.  Components and tensors are those of the
     Hermitian part of the raw estimate; the state is its physicality
-    projection.  design holds each direction set's diagnostics, completed
-    here with the misfit over that order's outcome rows, in probability
-    units.
+    projection.  design holds the DesignSVD of each order's direction set;
+    the per-order diagnostics pair its rank and condition number with the
+    misfit over that order's outcome rows, in probability units.
     """
     dim = n_photons + 1
     rows, rhs, row_orders = [np.eye(dim, dtype=complex).reshape(1, -1)], [np.ones(1)], [0]
@@ -737,8 +718,9 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases, 
             f"outcome laws span only {rank} of {dim * dim} dimensions on manifold {n_photons}"
         )
     misfit, row_orders = a @ x - b, np.array(row_orders)
+    residuals = {r: float(np.linalg.norm(misfit[row_orders == r])) for r in measured}
     raw = x.reshape(dim, dim)
-    projected, proj_diag = project_to_physical(raw)
+    projected, distance = project_to_physical(raw)
     # the anti-Hermitian rounding noise of raw grows by about N^r in the
     # order-r tensor and fails its consistency gate from N = 11 on
     hermitian = (raw + raw.conj().T) / 2.0
@@ -750,8 +732,8 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases, 
         {r: moment_components(t) for r, t in tensors.items()},
         tensors,
         ManifoldState.mixed(n_photons, projected),
-        {r: replace(design[r], residual=float(np.linalg.norm(misfit[row_orders == r]))) for r in measured},
-        replace(proj_diag, system_rank=int(rank), lstsq_residual=float(np.linalg.norm(misfit))),
+        {r: SolveDiagnostics(float(design[r].condition_number), residuals[r], int(design[r].rank)) for r in measured},
+        ReconstructionDiagnostics(int(rank), float(np.linalg.norm(misfit)), distance),
     )
 
 
@@ -766,7 +748,7 @@ def run_tomography(
 
     shots=None runs the exact mode (no sampling).  Each unique direction is
     measured once, and its outcomes, exact probabilities or shot counts,
-    are split into one conditional law per manifold (_manifold_laws), so
+    are split into one conditional law per manifold (_split_by_manifold), so
     both modes reach the solve by the same route.  Manifold N is recovered
     from the laws along the direction sets of orders one to N by one
     least-squares fit of every outcome projector of those directions
@@ -778,11 +760,23 @@ def run_tomography(
     MIN_COUNTS samples.  If that leaves nothing to reconstruct,
     NoManifoldReconstructedError carries the reasons.  The report holds
     dense 3^r tensors, so a manifold above MAX_TENSOR_ORDER within the cap
-    raises ValueError before anything is measured.  Each order that a
-    solved manifold needs must have a direction set that resolves its free
-    components, or RankDeficientError says which combinations it leaves
-    open.
+    raises ValueError before anything is measured, as do arguments of the
+    wrong type or range.  Each order that a solved manifold needs must have
+    a direction set that resolves its free components on its own (the
+    paper's per-order design, which refuses "symmetric7" even where the
+    stacked fit has full rank), or RankDeficientError says which
+    combinations it leaves open; per_order condition_number and rank
+    describe that design, not the stacked fit.
     """
+    # type(x) is int: bool is a subclass of int, but True is no shot count
+    if shots is not None and not (type(shots) is int and shots >= 1):
+        raise ValueError(f"shots must be None or an integer of at least 1, got {shots!r}")
+    if shots is not None and not (type(seed) is int and 0 <= seed < 1 << 64):
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    if max_order is not None and type(max_order) is not int:
+        raise ValueError(f"max_order must be None or an integer, got {max_order!r}")
+    if direction_mode not in ("auto", "symmetric7"):
+        raise ValueError(f"unknown direction mode {direction_mode!r}")
     block = as_block_diagonal(state)
     populated = list(block.manifolds)
     if not populated:
@@ -805,24 +799,22 @@ def run_tomography(
         # vacuum-only input: one setting still pins the photon distribution
         unique.append(Direction(0.0, 0.0, 1.0))
 
-    records, counts = [], {}
+    records = []
     if shots is None:
-        tallies = [outcome_distribution(block, d) for d in unique]
+        split = {d: _split_by_manifold(outcome_distribution(block, d)) for d in unique}
         probabilities = {n: block.probability(n) for n in populated}
         prob_errors = {n: 0.0 for n in populated}
     else:
+        # disjoint Philox keys per setting from the 64-bit base seed
         records = [
-            simulate_measurement(block, MeasurementSetting(d, shots, _setting_seed(seed, i)))
+            simulate_measurement(block, MeasurementSetting(d, shots, (seed << 32) + i))
             for i, d in enumerate(unique)
         ]
-        tallies = [record.counts for record in records]
-        for record in records:
-            for n, c in record.manifold_totals().items():
-                counts[n] = counts.get(n, 0) + c
+        split = {d: _split_by_manifold(record.counts) for d, record in zip(unique, records)}
+        counts = {n: sum(int(by_n[n][0]) for by_n in split.values() if n in by_n) for n in populated}
         grand_total = shots * len(unique)
         probabilities = {n: c / grand_total for n, c in counts.items()}
         prob_errors = {n: math.sqrt(p * (1 - p) / grand_total) for n, p in probabilities.items()}
-    laws = {d: _manifold_laws(tally) for d, tally in zip(unique, tallies)}
 
     solvable = {}
     skipped = {
@@ -830,22 +822,22 @@ def run_tomography(
         for n in sorted(deep_manifolds)
     }
     for n in sorted(populated):
-        if shots is not None and counts.get(n, 0) < MIN_COUNTS:
-            skipped[n] = f"only {counts.get(n, 0)} samples across settings"
+        if shots is not None and counts[n] < MIN_COUNTS:
+            skipped[n] = f"only {counts[n]} samples across settings"
             continue
-        measured = {r: [(d, laws[d].get(n)) for d in sets[r].directions] for r in range(1, n + 1)}
-        unsampled = [sets[r].label for r, pairs in measured.items() if any(law is None for _, law in pairs)]
+        orders = range(1, n + 1)
+        unsampled = [sets[r].label for r in orders if any(n not in split[d] for d in sets[r].directions)]
         if unsampled:
             skipped[n] = f"no samples for manifold {n} along {unsampled[0]}"
             continue
-        solvable[n] = measured
+        solvable[n] = {r: [(d, split[d][n][1]) for d in sets[r].directions] for r in orders}
     if not solvable:
         raise NoManifoldReconstructedError(
             f"every populated manifold was skipped: {skipped}", skipped=skipped
         )
     # only the orders and rotated bases of manifolds that are solved
     need = max(solvable)
-    design = {r: _checked_design(sets[r].directions, r)[3] for r in range(1, need + 1)}
+    design = {r: _checked_design(sets[r].directions, r)[2] for r in range(1, need + 1)}
     bases = {d: rotated_fock_bases(d, need) for r in design for d in sets[r].directions}
     return ReconstructionResult(
         manifolds={

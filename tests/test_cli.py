@@ -302,6 +302,15 @@ BLOCK = {"N": 1, "pN": 1.0, "vector": [[1.0, 0.0], [0.0, 0.0]]}
         ({"blocks": [{**BLOCK, "N": "1"}]}, "state block 0 field 'N' must be an integer, got '1'"),
         ({"blocks": [{**BLOCK, "pN": "1.0"}]}, "state block 0 field 'pN' must be a number, got '1.0'"),
         ({"blocks": [{**BLOCK, "pN": True}]}, "state block 0 field 'pN' must be a number, got True"),
+        (
+            {"blocks": [{**BLOCK, "vector": [[True, False], [False, False]]}]},
+            "state block 0 field 'vector' must hold [re, im] pairs of numbers, got True",
+        ),
+        (
+            {"blocks": [BLOCK], "truncation_deficit": "0.5"},
+            "state field 'truncation_deficit' must be a number, got '0.5'",
+        ),
+        ({"blocks": [{**BLOCK, "pN": 10**400}]}, "malformed state: int too large to convert to float"),
     ],
 )
 def test_malformed_state_file_rejected(capsys, tmp_path, payload, message):
@@ -311,6 +320,7 @@ def test_malformed_state_file_rejected(capsys, tmp_path, payload, message):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -551,6 +551,65 @@ def test_family_constructors_reject_non_finite_parameters(bad, good, bad_theta):
         tmsv(bad, 3)
 
 
+@pytest.mark.parametrize(
+    "extra, block, message",
+    [
+        pytest.param(
+            {"truncation_deficit": "0.5"},
+            {"vector": [[1.0, 0.0], [0.0, 0.0]]},
+            "state field 'truncation_deficit' must be a number, got '0.5'",
+            id="deficit-string",
+        ),
+        pytest.param(
+            {"truncation_deficit": False},
+            {"vector": [[1.0, 0.0], [0.0, 0.0]]},
+            "state field 'truncation_deficit' must be a number, got False",
+            id="deficit-bool",
+        ),
+        pytest.param(
+            {},
+            {"vector": [[True, False], [False, False]]},
+            "state block 0 field 'vector' must hold [re, im] pairs of numbers, got True",
+            id="vector-bools",
+        ),
+        pytest.param(
+            {},
+            {"vector": [[1.0, 0.0], ["0", 0.0]]},
+            "state block 0 field 'vector' must hold [re, im] pairs of numbers, got '0'",
+            id="vector-string",
+        ),
+        pytest.param(
+            {},
+            {"vector": [[1.0, 0.0, 0.0], [0.0, 0.0]]},
+            "state block 0 field 'vector' must be a list of [re, im] pairs",
+            id="vector-triple",
+        ),
+        pytest.param(
+            {},
+            {"vector": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+            "state block 0 field 'vector' must be a list of [re, im] pairs",
+            id="vector-given-a-matrix",
+        ),
+        pytest.param(
+            {},
+            {"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, None]]]},
+            "state block 0 field 'matrix' must hold [re, im] pairs of numbers, got None",
+            id="matrix-null",
+        ),
+        pytest.param(
+            {},
+            {"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]},
+            "state block 0 field 'matrix' must be rows of [re, im] pairs",
+            id="matrix-ragged",
+        ),
+    ],
+)
+def test_state_from_json_rejects_wrong_json_types(extra, block, message):
+    with pytest.raises(ValueError) as info:
+        state_from_json({"blocks": [{"N": 1, "pN": 1.0, **block}], **extra})
+    assert str(info.value) == message
+
+
 def test_state_from_json_rejects_non_finite_probability():
     payload = state_to_json(noon(2))
     payload["blocks"][0]["pN"] = math.nan

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,7 @@ from stokes_lab.tomography import (
     non_resolved_manifold_moments,
     outcome_distribution,
     reconstruct_density,
+    reduced_design,
     reduced_design_singular_values,
     run_tomography,
     simulate_measurement,
@@ -245,6 +247,28 @@ class TestEstimates:
         emp = estimate_moments(record, [1])
         assert emp.moment(1, 1) is None
 
+    def test_many_manifold_record_matches_exact_law(self):
+        state = two_mode_coherent(2.0, 25)
+        assert len(state.manifolds) == 26
+        v = Direction.from_vector((0.3, -0.5, 0.8), normalize=True)
+        record = simulate_measurement(state, MeasurementSetting(v, 200_000, 12))
+        emp = estimate_moments(record, [1, 2, 3])
+        dist = outcome_distribution(state, v)
+        checked = 0
+        for n, (p_hat, p_err) in emp.manifold_probabilities.items():
+            p_exact = sum(p for (nn, _), p in dist.items() if nn == n)
+            assert abs(p_hat - p_exact) <= 5.0 * max(p_err, 1e-12), n
+            if p_hat * record.setting.shots < 100:
+                continue
+            checked += 1
+            for r in (1, 2, 3):
+                value, err = emp.moment(n, r)
+                assert abs(value - distribution_moment(dist, r, n)) <= 5.0 * max(err, 1e-12), (n, r)
+        assert checked >= 5
+        for n in set(state.manifolds) - set(emp.manifold_probabilities):
+            assert emp.moment(n, 1) is None
+            assert distribution_moment(dist, 1, n) is not None
+
 
 class TestDirectionSets:
     def test_first_order_axes(self):
@@ -290,6 +314,10 @@ class TestDirectionSets:
         8: "ec95422ec7328c477083b516fdbc7439e3cfad1daf28a258cddc67c659f88b3a",
         9: "be761ea39dff099e9d1070bce500810cc10faf31eddf735960a5b41daebae46d",
         10: "8744d58fa1af7f06d70d023263cbf37b1ad525764dadb6093cde762f1126f93e",
+        11: "c16bd3b64046b06f30ea03528aa34a45509fb6929da3bd03eefea7ac2e9ae9eb",
+        12: "89cd9e880e48cb3fee469135c088400ddf13a1cb1ec55300db496b9d3d1068c1",
+        13: "47bb6430043d02513d02998b9216401c81ab4e56e93014478e6ce426710c0bda",
+        14: "646407cd002b502b9e3efda601aaaad0967d46fc6b6a87bbeda3330c41b00a7d",
     }
 
     @pytest.mark.parametrize("order", sorted(GENERIC_SET_SHA256))
@@ -301,7 +329,9 @@ class TestDirectionSets:
         assert choose_directions(1).label == "coordinate-axes"
         assert choose_directions(2).label == "icosahedral-five"
         assert choose_directions(3).label == "conditioned-seven"
-        assert choose_directions(3, mode="symmetric7").rank_deficient
+        symmetric = choose_directions(3, mode="symmetric7")
+        assert symmetric.label == "symmetric-seven"
+        assert reduced_design(symmetric.directions, 3)[2].rank == 4
         with pytest.raises(ValueError):
             choose_directions(2, mode="symmetric7")
 
@@ -591,6 +621,30 @@ class TestPipeline:
         with pytest.raises(ValueError, match="MAX_TENSOR_ORDER"):
             run_tomography(noon(n), max_order=n)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            pytest.param({"shots": 2.5}, "shots must be None or an integer", id="shots-float"),
+            pytest.param({"shots": True}, "shots must be None or an integer", id="shots-bool"),
+            pytest.param({"shots": 0}, "shots must be None or an integer of at least 1", id="shots-zero"),
+            pytest.param({"shots": 100, "seed": 1.5}, "seed must be an integer", id="seed-float"),
+            pytest.param({"shots": 100, "seed": -1}, r"seed must be an integer in \[0, 2\^64\)", id="seed-negative"),
+            pytest.param({"shots": 100, "seed": 1 << 64}, r"in \[0, 2\^64\)", id="seed-too-wide"),
+            pytest.param({"max_order": True}, "max_order must be None or an integer", id="max-order-bool"),
+            pytest.param({"max_order": 2.0}, "max_order must be None or an integer", id="max-order-float"),
+            pytest.param({"direction_mode": "bogus"}, "unknown direction mode 'bogus'", id="mode-unknown"),
+        ],
+    )
+    def test_arguments_rejected_before_measuring(self, monkeypatch, kwargs, message):
+        def measure(*args, **kwargs):
+            raise AssertionError("measured before checking the arguments")
+
+        monkeypatch.setattr(tomography, "choose_directions", measure)
+        monkeypatch.setattr(tomography, "outcome_distribution", measure)
+        # N = 2 needs no order-3 set, so the direction mode is checked on its own
+        with pytest.raises(ValueError, match=message):
+            run_tomography(noon(2), **kwargs)
+
     def test_vacuum_only_input(self):
         vacuum = ManifoldState.fock(0, 0)
         result = run_tomography(vacuum, shots=100, seed=1)
@@ -657,3 +711,27 @@ def test_record_serialization_round_trip():
     back = record_from_json(record_to_json(record))
     assert back.counts == record.counts
     assert back.setting.seed == 77
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("shots", "10", "record field 'shots' must be an integer, got '10'"),
+        ("shots", 10.9, "record field 'shots' must be an integer, got 10.9"),
+        ("shots", True, "record field 'shots' must be an integer, got True"),
+        ("seed", 3.0, "record field 'seed' must be an integer, got 3.0"),
+        ("N", "2", "record count 0 field 'N' must be an integer, got '2'"),
+        ("s", -2.0, "record count 0 field 's' must be an integer, got -2.0"),
+        ("count", 6.5, "record count 0 field 'count' must be an integer, got 6.5"),
+        ("count", None, "record count 0 has no 'count' field"),
+    ],
+)
+def test_record_from_json_rejects_wrong_types(field, value, message):
+    payload = record_to_json(simulate_measurement(noon(2), MeasurementSetting(E1, 10, 3)))
+    target = payload if field in ("shots", "seed") else payload["counts"][0]
+    if value is None:
+        del target[field]
+    else:
+        target[field] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        record_from_json(payload)
