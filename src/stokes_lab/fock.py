@@ -76,7 +76,10 @@ class Direction:
 
     @classmethod
     def from_vector(cls, vec, normalize: bool = False) -> "Direction":
-        v = np.asarray(vec, dtype=float)
+        try:
+            v = np.asarray(vec, dtype=float)
+        except OverflowError as exc:
+            raise ValueError(f"direction components must be finite: {exc}") from exc
         if v.shape != (3,):
             raise ValueError(f"direction needs 3 components, got shape {v.shape}")
         if not np.isfinite(v).all():

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -373,15 +374,18 @@ def derive_third_order_fallback(seed: int = 0xD1CE, iterations: int = 400, step:
     return tuple(Direction.from_vector(v, normalize=True) for v in current), best
 
 
+@cache
 def generic_directions(order: int) -> DirectionSet:
     """A 2r+1 direction set chosen by condition-number search.
 
     Draws a seeded pool of candidate lines, then 200 seeded subsets of
     2r+1 of them, and keeps the first subset whose reduced design has the
     smallest condition number.  The pool's reduced design is built once and
-    all subsets are scored by one batched SVD.  Not taken from any
-    published construction; provided as an extension for orders without a
-    named set and tagged as such.
+    all subsets are scored by one batched SVD.  The set depends on order
+    alone, so the search runs once per order per process; later calls
+    return the same frozen DirectionSet.  Not taken from any published
+    construction; provided as an extension for orders without a named set
+    and tagged as such.
     """
     n_free = independent_moment_count(order)
     gen = np.random.Generator(np.random.Philox(key=GENERIC_SEED + order))
@@ -404,8 +408,9 @@ def choose_directions(order: int, mode: str = "auto") -> DirectionSet:
     """Measurement lines for one moment order.
 
     mode "auto" picks the named sets for orders 1..3 (the conditioned
-    fallback at order 3) and the generic search beyond; "symmetric7"
-    forces the rank-deficient symmetric third-order set.
+    fallback at order 3) and the generic search beyond, which runs once
+    per order per process (generic_directions); "symmetric7" forces the
+    rank-deficient symmetric third-order set.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -596,10 +601,10 @@ class ReconstructionDiagnostics:
     projection_distance: float
 
 
-def project_to_physical(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Clip negative eigenvalues and renormalize the trace to one; returns the
-    projected matrix and its trace distance from the Hermitian part of matrix."""
-    hermitian = (matrix + matrix.conj().T) / 2.0
+def project_to_physical(hermitian: np.ndarray) -> tuple[np.ndarray, float]:
+    """Clip negative eigenvalues of a Hermitian matrix and renormalize the
+    trace to one; returns the projected matrix and its trace distance from
+    the input."""
     evals, evecs = np.linalg.eigh(hermitian)
     clipped = np.clip(evals, 0.0, None)
     total = clipped.sum()
@@ -646,7 +651,8 @@ def reconstruct_density(tensors: dict, n_photons: int) -> tuple[ManifoldState, R
         )
     solution, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.linalg.norm(a @ solution - b))
-    projected, distance = project_to_physical(solution.reshape(dim, dim))
+    raw = solution.reshape(dim, dim)
+    projected, distance = project_to_physical((raw + raw.conj().T) / 2.0)
     return ManifoldState.mixed(n_photons, projected), ReconstructionDiagnostics(rank, residual, distance)
 
 
@@ -720,10 +726,10 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases, 
     misfit, row_orders = a @ x - b, np.array(row_orders)
     residuals = {r: float(np.linalg.norm(misfit[row_orders == r])) for r in measured}
     raw = x.reshape(dim, dim)
-    projected, distance = project_to_physical(raw)
     # the anti-Hermitian rounding noise of raw grows by about N^r in the
     # order-r tensor and fails its consistency gate from N = 11 on
     hermitian = (raw + raw.conj().T) / 2.0
+    projected, distance = project_to_physical(hermitian)
     tensors = {r: matrix_tensor(hermitian, n_photons, r) for r in measured}
     return ManifoldReconstruction(
         n_photons,
@@ -755,10 +761,13 @@ def run_tomography(
     (_solve_manifold), whose per-order misfit is reported in probability
     units; the order-by-order route of solve_moment_components,
     assemble_all_tensors and reconstruct_density is kept as the reference
-    it is checked against.  Manifolds beyond the order cap (default 6) are
-    skipped with a reason, as are manifolds whose records hold fewer than
-    MIN_COUNTS samples.  If that leaves nothing to reconstruct,
-    NoManifoldReconstructedError carries the reasons.  The report holds
+    it is checked against.  The generic direction search of each order
+    from four up runs once per process, so only the first call pays it;
+    every call still checks each order's design for rank.  Manifolds
+    beyond the order cap (default 6) are skipped with a reason, as are
+    manifolds whose records hold fewer than MIN_COUNTS samples.  If that
+    leaves nothing to reconstruct, NoManifoldReconstructedError carries the
+    reasons.  The report holds
     dense 3^r tensors, so a manifold above MAX_TENSOR_ORDER within the cap
     raises ValueError before anything is measured, as do arguments of the
     wrong type or range.  Each order that a solved manifold needs must have

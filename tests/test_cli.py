@@ -2,10 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stokes_lab
 from stokes_lab import checks
 from stokes_lab.cli import _parse_state_spec, _profile_mesh, main
 from stokes_lab.closed_forms import noon_profile
@@ -226,6 +231,18 @@ def test_tomography_seeded_bytes_reproducible(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_exact_tomography_bytes_do_not_depend_on_earlier_calls(capsys):
+    # the searched direction sets are kept per process after the first call
+    args = ["tomography", "--state", "su2:n=6,theta=0.8,phi=0.3", "--shots", "inf"]
+    outs = [run_cli(capsys, *args)[1] for _ in range(2)]
+    src = str(Path(stokes_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "stokes_lab.cli", *args], capture_output=True, text=True, env=env, check=True
+    )
+    assert outs[0] == outs[1] == fresh.stdout
 
 
 def test_tomography_symmetric_set_fails_with_rank_report(capsys):

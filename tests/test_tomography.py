@@ -325,6 +325,24 @@ class TestDirectionSets:
         rows = np.array([d.as_array() for d in generic_directions(order).directions], dtype="<f8")
         assert hashlib.sha256(rows.tobytes()).hexdigest() == self.GENERIC_SET_SHA256[order]
 
+    def test_generic_search_runs_once_per_order_per_process(self, monkeypatch, rng):
+        assert generic_directions(5) is generic_directions(5)
+        state = ManifoldState.mixed(6, random_density(6, rng))
+        first = run_tomography(state)
+        searched = []
+        svd = tomography._design_svd
+
+        def counting_svd(reduced):
+            # the search scores a stack of candidate designs; the rank gate one design
+            if reduced.ndim == 3:
+                searched.append(reduced.shape)
+            return svd(reduced)
+
+        monkeypatch.setattr(tomography, "_design_svd", counting_svd)
+        second = run_tomography(state)
+        assert searched == []
+        np.testing.assert_array_equal(second.manifolds[6].state.density(), first.manifolds[6].state.density())
+
     def test_choose_dispatch(self):
         assert choose_directions(1).label == "coordinate-axes"
         assert choose_directions(2).label == "icosahedral-five"
@@ -724,11 +742,12 @@ def test_record_serialization_round_trip():
         ("s", -2.0, "record count 0 field 's' must be an integer, got -2.0"),
         ("count", 6.5, "record count 0 field 'count' must be an integer, got 6.5"),
         ("count", None, "record count 0 has no 'count' field"),
+        ("direction", [10**400, 0, 0], "direction components must be finite: int too large to convert to float"),
     ],
 )
 def test_record_from_json_rejects_wrong_types(field, value, message):
     payload = record_to_json(simulate_measurement(noon(2), MeasurementSetting(E1, 10, 3)))
-    target = payload if field in ("shots", "seed") else payload["counts"][0]
+    target = payload if field in ("direction", "shots", "seed") else payload["counts"][0]
     if value is None:
         del target[field]
     else:
