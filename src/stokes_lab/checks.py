@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import closed_forms, factorials, moments, states, tomography
+from . import closed_forms, factorials, moments, reference, states, tomography
 from .fock import stokes_in_direction, stokes_operator
 
 # Sizes and seeds of the suites; every run checks the same cases.
@@ -174,7 +174,7 @@ def verify_tomography() -> list[CheckResult]:
     icosa = tomography.icosahedral_directions()
     measured = [moments.stokes_profile(state, 2, d) for d in icosa.directions]
     closed = tomography.closed_form_second_order(measured, 2)
-    solved, _ = tomography.solve_moment_components(icosa.directions, measured, 2, 2)
+    solved, _ = reference.solve_moment_components(icosa.directions, measured, 2, 2)
     dev = float(np.abs(closed.as_vector() - solved.as_vector()).max())
     out.append(_result("tomography", "second-order-dual-route", dev <= 1e-9, f"max dev {dev:.2e}"))
 
@@ -202,30 +202,11 @@ def verify_tomography() -> list[CheckResult]:
     worst = 0.0
     for n in (1, 2, 3, 4):
         state = states.ManifoldState.mixed(n, _random_density(n, rng))
-        reference = _paper_route_density(state)
+        expected = reference.paper_route_density(state)
         res = tomography.run_tomography(state)
-        worst = max(worst, tomography.trace_distance(res.manifolds[n].state.density(), reference))
+        worst = max(worst, tomography.trace_distance(res.manifolds[n].state.density(), expected))
     out.append(_result("tomography", "paper-route-agrees", worst <= 1e-9, f"max trace distance {worst:.2e}"))
     return out
-
-
-def _paper_route_density(state) -> np.ndarray:
-    """Exact-moment reconstruction by the paper's order-by-order route.
-
-    Each order's components come from the Casimir-constrained inversion,
-    valued with the tensors assembled from the orders below; the complete
-    tensor set is then inverted to the density matrix.
-    """
-    n = state.n_photons
-    components = {}
-    for r in range(1, n + 1):
-        dirs = tomography.choose_directions(r).directions
-        measured = [moments.stokes_profile(state, r, d) for d in dirs]
-        components[r], _ = tomography.solve_moment_components(
-            dirs, measured, n, r, lower_tensors=tomography.assemble_all_tensors(components, n)
-        )
-    rebuilt, _ = tomography.reconstruct_density(tomography.assemble_all_tensors(components, n), n)
-    return rebuilt.density()
 
 
 SUITES = {

@@ -28,10 +28,9 @@ def manifold_cap() -> int:
     raw = os.environ.get(_CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_MANIFOLD_CAP
-    cap = int(raw)
-    if cap < 0:
-        raise ValueError(f"{_CAP_ENV_VAR} must be non-negative, got {cap}")
-    return cap
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{_CAP_ENV_VAR} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def check_manifold(n_photons: int) -> int:

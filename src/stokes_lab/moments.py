@@ -10,12 +10,12 @@ coefficients of the direction-moment profile as a polynomial on the sphere.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import wordalg
 from .errors import TensorConsistencyError
 from .fock import as_direction, stokes_in_direction, stokes_vector_operators
 from .states import BlockDiagonalState, ManifoldState, as_block_diagonal
@@ -36,6 +36,11 @@ def component_classes(order: int) -> tuple[tuple[int, int], ...]:
 def moment_component_count(order: int) -> int:
     """Number of moment components of one order: (r+1)(r+2)/2."""
     return (order + 1) * (order + 2) // 2
+
+
+def trinomial(ones: int, twos: int, order: int) -> int:
+    """Number of distinct words with the given index multiplicities."""
+    return math.comb(order, ones) * math.comb(order - ones, twos)
 
 
 def independent_moment_count(order: int) -> int:
@@ -292,16 +297,6 @@ def tensor_descend(tensor: PolarizationTensor) -> PolarizationTensor:
     return PolarizationTensor(r - 1, tensor.n_photons, out)
 
 
-def ordered_product(ones: int, twos: int, order: int, n_photons: int) -> np.ndarray:
-    """Matrix of the standard-ordered product S1^ones S2^twos S3^(order-ones-twos)."""
-    threes = order - ones - twos
-    if min(ones, twos, threes) < 0:
-        raise ValueError("multiplicities must be non-negative within the order")
-    s1, s2, s3 = stokes_vector_operators(n_photons)
-    out = np.linalg.matrix_power(s1, ones) @ np.linalg.matrix_power(s2, twos)
-    return out @ np.linalg.matrix_power(s3, threes)
-
-
 def stokes_vector_mean(state) -> np.ndarray:
     """Photon-number-averaged first moments of the three generators."""
     block = as_block_diagonal(state)
@@ -359,90 +354,3 @@ def uncertainty_bounds(state) -> tuple[float, float]:
     upper = sum(p * n * (n + 2) for n, p, _ in block.blocks)
     return float(lower), float(upper)
 
-
-# ---------------------------------------------------------------------------
-# Tensor assembly from moment components
-
-
-def assemble_tensor_order2(components: MomentComponents, first_order: PolarizationTensor) -> PolarizationTensor:
-    """Second-rank tensor from its components and the first-order Stokes vector.
-
-    Diagonal entries are the pure-class components; each off-diagonal pair
-    splits its class evenly with the commutator supplying the imaginary
-    part.
-    """
-    if components.order != 2 or first_order.order != 1:
-        raise ValueError("need order-2 components and an order-1 tensor")
-    m = components.values
-    s1, s2, s3 = (first_order.element((j,)).real for j in (1, 2, 3))
-    values = np.array(
-        [
-            [m[(2, 0)], m[(1, 1)] / 2 + 1j * s3, m[(1, 0)] / 2 - 1j * s2],
-            [m[(1, 1)] / 2 - 1j * s3, m[(0, 2)], m[(0, 1)] / 2 + 1j * s1],
-            [m[(1, 0)] / 2 + 1j * s2, m[(0, 1)] / 2 - 1j * s1, m[(0, 0)]],
-        ]
-    )
-    return PolarizationTensor(2, components.n_photons, values)
-
-
-def assemble_tensor_order3(components: MomentComponents, second_order: PolarizationTensor) -> PolarizationTensor:
-    """Third-rank tensor from its components and the full second-order tensor."""
-    if components.order != 3 or second_order.order != 2:
-        raise ValueError("need order-3 components and an order-2 tensor")
-    m = components.values
-    t = lambda i, j: second_order.element((i, j))
-    d = np.empty((3, 3, 3), dtype=complex)
-    d[0, 0, 0] = m[(3, 0)]
-    d[0, 0, 1] = (m[(2, 1)] + 4j * t(1, 3) + 2j * t(3, 1)) / 3
-    d[0, 0, 2] = (m[(2, 0)] - 4j * t(1, 2) - 2j * t(2, 1)) / 3
-    d[0, 1, 0] = (m[(2, 1)] - 2j * t(1, 3) + 2j * t(3, 1)) / 3
-    d[0, 1, 1] = (m[(1, 2)] + 2j * t(2, 3) + 4j * t(3, 2)) / 3
-    d[0, 1, 2] = m[(1, 1)] / 6 + 1j * t(1, 1) - 1j * t(2, 2) + 1j * t(3, 3)
-    d[0, 2, 0] = (m[(2, 0)] + 2j * t(1, 2) - 2j * t(2, 1)) / 3
-    d[0, 2, 1] = m[(1, 1)] / 6 - 1j * t(1, 1) - 1j * t(2, 2) + 1j * t(3, 3)
-    d[0, 2, 2] = (m[(1, 0)] - 2j * t(3, 2) - 4j * t(2, 3)) / 3
-    d[1, 0, 0] = (m[(2, 1)] - 2j * t(1, 3) - 4j * t(3, 1)) / 3
-    d[1, 0, 1] = (m[(1, 2)] + 2j * t(2, 3) - 2j * t(3, 2)) / 3
-    d[1, 0, 2] = m[(1, 1)] / 6 + 1j * t(1, 1) - 1j * t(2, 2) - 1j * t(3, 3)
-    d[1, 1, 0] = (m[(1, 2)] - 4j * t(2, 3) - 2j * t(3, 2)) / 3
-    d[1, 1, 1] = m[(0, 3)]
-    d[1, 1, 2] = (m[(0, 2)] + 4j * t(2, 1) + 2j * t(1, 2)) / 3
-    d[1, 2, 0] = m[(1, 1)] / 6 + 1j * t(1, 1) + 1j * t(2, 2) - 1j * t(3, 3)
-    d[1, 2, 1] = (m[(0, 2)] - 2j * t(2, 1) + 2j * t(1, 2)) / 3
-    d[1, 2, 2] = (m[(0, 1)] + 2j * t(3, 1) + 4j * t(1, 3)) / 3
-    d[2, 0, 0] = (m[(2, 0)] + 2j * t(1, 2) + 4j * t(2, 1)) / 3
-    d[2, 0, 1] = m[(1, 1)] / 6 - 1j * t(1, 1) + 1j * t(2, 2) + 1j * t(3, 3)
-    d[2, 0, 2] = (m[(1, 0)] - 2j * t(3, 2) + 2j * t(2, 3)) / 3
-    d[2, 1, 0] = m[(1, 1)] / 6 - 1j * t(1, 1) + 1j * t(2, 2) - 1j * t(3, 3)
-    d[2, 1, 1] = (m[(0, 2)] - 2j * t(2, 1) - 4j * t(1, 2)) / 3
-    d[2, 1, 2] = (m[(0, 1)] + 2j * t(3, 1) - 2j * t(1, 3)) / 3
-    d[2, 2, 0] = (m[(1, 0)] + 4j * t(3, 2) + 2j * t(2, 3)) / 3
-    d[2, 2, 1] = (m[(0, 1)] - 4j * t(3, 1) - 2j * t(1, 3)) / 3
-    d[2, 2, 2] = m[(0, 0)]
-    return PolarizationTensor(3, components.n_photons, d)
-
-
-def assemble_tensor(components: MomentComponents, lower_tensors) -> PolarizationTensor:
-    """General rank-r assembly from components plus all lower tensors.
-
-    Within each permutation class the pairwise differences are fixed by
-    commutator reductions against lower orders, so the class sum pins every
-    element.  lower_tensors maps order -> ndarray for orders 1..r-1.
-    """
-    r = components.order
-    arrays = {q: np.asarray(t.values if isinstance(t, PolarizationTensor) else t) for q, t in lower_tensors.items()}
-    values = np.zeros((3,) * r, dtype=complex)
-    for ones, twos in component_classes(r):
-        words = wordalg.class_words(ones, twos, r)
-        offsets = {
-            w: wordalg.evaluate_terms(wordalg.lower_order_terms(w), arrays) for w in words
-        }
-        base = (components.values[(ones, twos)] - sum(offsets.values())) / len(words)
-        for w in words:
-            values[tuple(j - 1 for j in w)] = base + offsets[w]
-    tensor = PolarizationTensor(r, components.n_photons, values)
-    dev = tensor.check_hermiticity()
-    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-    if dev > 1e-9 * scale:
-        raise TensorConsistencyError(f"assembled order-{r} tensor breaks Hermiticity by {dev:.3e}")
-    return tensor

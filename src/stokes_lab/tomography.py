@@ -7,11 +7,11 @@ law p_N(d) over the eigenvalues N-2k, exact or counted.  Each entry
 p_k(d) = Tr(rho_N Pi_k(d)) is linear in rho_N, so run_tomography recovers
 each manifold by one least-squares solve with one row per outcome
 projector of all its directions, followed by a physicality projection.
-The paper's order-by-order route stays here as the reference it is
-checked against: a Casimir-constrained inversion for the moment
-components of each order (solve_moment_components), tensor assembly
-(assemble_all_tensors) and inversion of the complete tensor set
-(reconstruct_density).
+The paper's order-by-order route, a Casimir-constrained inversion per
+order, tensor assembly and inversion of the complete tensor set, lives in
+reference.py as the reference this module is checked against; the names
+solve_moment_components, assemble_all_tensors and reconstruct_density stay
+importable from here.
 """
 
 from __future__ import annotations
@@ -23,27 +23,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import wordalg
 from .errors import (
     NoManifoldReconstructedError,
     NonPhysicalStateError,
     RankDeficientError,
     StokesLabError,
 )
-from .fock import Direction, as_direction, rotated_fock_bases, stokes_vector_operators
+from .fock import Direction, as_direction, rotated_fock_bases
 from .moments import (
     DEFAULT_ORDER_CAP,
     MAX_TENSOR_ORDER,
     MomentComponents,
-    PolarizationTensor,
-    assemble_tensor,
     component_classes,
     independent_moment_count,
     matrix_tensor,
     moment_component_count,
     moment_components,
+    trinomial,
 )
-from .states import BlockDiagonalState, ManifoldState, as_block_diagonal
+from .states import BlockDiagonalState, ManifoldState, as_block_diagonal, check_finite
 
 RANK_TOL = 1e-12
 PHILOX_KEY_BOUND = 1 << 128
@@ -67,10 +65,12 @@ class MeasurementSetting:
     seed: int
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be at least 1")
-        if not 0 <= self.seed < PHILOX_KEY_BOUND:
-            raise ValueError("seed must fit a 128-bit counter-based RNG key")
+        object.__setattr__(self, "direction", as_direction(self.direction))
+        # type(x) is int: bool is a subclass of int, but True is no shot count
+        if type(self.shots) is not int or self.shots < 1:
+            raise ValueError(f"shots must be an integer of at least 1, got {self.shots!r}")
+        if type(self.seed) is not int or not 0 <= self.seed < PHILOX_KEY_BOUND:
+            raise ValueError(f"seed must be an integer that fits a 128-bit RNG key, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,10 @@ class MeasurementRecord:
     def __post_init__(self):
         total = 0
         for (n, s), c in self.counts.items():
-            if c < 0:
-                raise ValueError("counts must be non-negative")
-            if (n - s) % 2 or abs(s) > n:
-                raise ValueError(f"outcome ({n}, {s}) is impossible")
+            if type(c) is not int or c < 0:
+                raise ValueError(f"counts must be non-negative integers, got {c!r}")
+            if type(n) is not int or type(s) is not int or (n - s) % 2 or abs(s) > n:
+                raise ValueError(f"outcome ({n}, {s}) is impossible: outcomes are integer pairs (N, N - 2k)")
             total += c
         if total != self.setting.shots:
             raise ValueError(f"counts total {total} differs from shots {self.setting.shots}")
@@ -253,7 +253,7 @@ def third_order_symmetric_directions() -> DirectionSet:
     return DirectionSet("symmetric-seven", 3, dirs, tags=("max-min-angle lines",))
 
 
-# Derived once by derive_third_order_fallback() and frozen for bit-stable output.
+# Derived once by reference.derive_third_order_fallback() and frozen for bit-stable output.
 _FALLBACK_AXES = (
     (0.8734821795775402, 0.19911441860296364, 0.4442773123454244),
     (-0.4554249004256072, 0.868261541485753, 0.19674871193761365),
@@ -266,7 +266,7 @@ def third_order_fallback_directions() -> DirectionSet:
 
     The four diagonal lines are kept; the three axes are replaced by
     conditioned replacements found by seeded local search (see
-    derive_third_order_fallback).
+    reference.derive_third_order_fallback).
     """
     dirs = tuple(Direction(*v) for v in _FALLBACK_AXES) + _diagonal_lines()
     return DirectionSet("conditioned-seven", 3, dirs, tags=("conditioned fallback",))
@@ -291,7 +291,7 @@ def casimir_constraint_matrix(order: int) -> np.ndarray:
     rows = np.zeros((len(lower), len(classes)))
     for i, (k, l) in enumerate(lower):
         for kk, ll in ((k + 2, l), (k, l + 2), (k, l)):
-            rows[i, classes.index((kk, ll))] += 1.0 / wordalg.trinomial(kk, ll, order)
+            rows[i, classes.index((kk, ll))] += 1.0 / trinomial(kk, ll, order)
     return rows
 
 
@@ -335,43 +335,6 @@ def reduced_design(directions, order: int) -> tuple[np.ndarray, np.ndarray, Desi
 def reduced_design_singular_values(directions, order: int) -> np.ndarray:
     """Singular values of the design restricted to the free component subspace."""
     return reduced_design(directions, order)[2].sv
-
-
-def derive_third_order_fallback(seed: int = 0xD1CE, iterations: int = 400, step: float = 0.08):
-    """Reproduce the conditioned fallback set.
-
-    Starts from the axes tilted 30 degrees toward their nearest diagonals
-    (itself rank-deficient) and locally minimizes the reduced-design
-    condition number by seeded random perturbation of the three
-    replacement lines.
-    """
-    diagonals = [d.as_array() for d in _diagonal_lines()]
-
-    def tilt(axis, target, angle):
-        perp = target - (target @ axis) * axis
-        perp /= np.linalg.norm(perp)
-        return math.cos(angle) * axis + math.sin(angle) * perp
-
-    current = [tilt(np.eye(3)[i], diagonals[i], math.pi / 6.0) for i in range(3)]
-
-    def cond(axes):
-        _, _, svd = reduced_design(
-            [Direction.from_vector(v, normalize=True) for v in axes] + list(_diagonal_lines()), 3
-        )
-        return svd.condition_number if svd.rank == independent_moment_count(3) else math.inf
-
-    best = cond(current)
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    for _ in range(iterations):
-        idx = int(gen.integers(0, 3))
-        perturbation = gen.normal(size=3) * step
-        candidate = [v.copy() for v in current]
-        vec = candidate[idx] + perturbation
-        candidate[idx] = vec / np.linalg.norm(vec)
-        c = cond(candidate)
-        if c < best:
-            current, best = candidate, c
-    return tuple(Direction.from_vector(v, normalize=True) for v in current), best
 
 
 @cache
@@ -445,6 +408,7 @@ def closed_form_second_order(measured, n_photons: int | None = None, casimir: fl
         if n_photons is None:
             raise ValueError("need a manifold or an explicit casimir value")
         casimir = float(n_photons * (n_photons + 2))
+    check_finite("measured moments and the casimir value", [v1, v2, v3, v4, v5, casimir])
     rt5 = math.sqrt(5.0)
     pair12 = v1 + v2
     pair34 = v3 + v4
@@ -484,107 +448,6 @@ def _checked_design(directions, order: int) -> tuple[np.ndarray, np.ndarray, Des
     return a, null, svd
 
 
-def _constraint_rhs(order: int, n_photons: int, lower_arrays: dict) -> np.ndarray:
-    """Right-hand sides of the order-coupling constraints from lower tensors."""
-    lower = component_classes(order - 2)
-    rhs = np.zeros(len(lower))
-    for i, (k, l) in enumerate(lower):
-        if order - 2 == 0:
-            base = 1.0 + 0j
-        else:
-            base = wordalg.evaluate_word(wordalg.standard_word(k, l, order - 2), lower_arrays)
-        value = n_photons * (n_photons + 2) * base
-        scale = max(1.0, abs(value))
-        commutator_part, magnitude = wordalg.evaluate_terms_with_magnitude(
-            wordalg.commutator_with_square_terms(k, l, order), lower_arrays
-        )
-        value += commutator_part
-        scale = max(scale, magnitude)
-        # move the ordering corrections of each class onto the known side
-        for kk, ll in ((k + 2, l), (k, l + 2), (k, l)):
-            correction = 0.0 + 0j
-            for w in wordalg.class_words(kk, ll, order):
-                part, magnitude = wordalg.evaluate_terms_with_magnitude(
-                    wordalg.lower_order_terms(w), lower_arrays
-                )
-                correction += part
-                scale = max(scale, magnitude)
-            value += correction / wordalg.trinomial(kk, ll, order)
-        # imaginary parts cancel identically; residue scales with the summands
-        if abs(value.imag) > 1e-9 * scale:
-            raise StokesLabError(f"constraint ({k},{l}) has imaginary residue {value.imag:.3e}")
-        rhs[i] = value.real
-    return rhs
-
-
-def solve_moment_components(
-    directions,
-    measured,
-    n_photons: int,
-    order: int,
-    lower_tensors: dict | None = None,
-) -> tuple[MomentComponents, SolveDiagnostics]:
-    """Least-squares inversion of direction moments for one order.
-
-    The order-coupling constraints are substituted (the unknown vector is
-    parameterized on their null space), reducing the problem to 2r+1 free
-    unknowns.  Orders of three and above need the lower tensors to value
-    the constraint right-hand sides.  A numerically rank-deficient reduced
-    design raises RankDeficientError naming the unresolved component
-    combinations.
-    """
-    dirs = [as_direction(d) for d in directions]
-    values = np.asarray([float(v) for v in measured])
-    if len(dirs) != len(values):
-        raise ValueError("one measured moment per direction required")
-    if order >= 2:
-        lower_arrays = {}
-        if order > 2:
-            if lower_tensors is None:
-                raise ValueError("orders above two need the lower-order tensors")
-            for q in range(1, order):
-                if q not in lower_tensors:
-                    raise ValueError(f"missing lower tensor of order {q}")
-            lower_arrays = {
-                q: np.asarray(t.values if isinstance(t, PolarizationTensor) else t)
-                for q, t in lower_tensors.items()
-            }
-        rhs = _constraint_rhs(order, n_photons, lower_arrays)
-        particular, *_ = np.linalg.lstsq(casimir_constraint_matrix(order), rhs, rcond=None)
-    else:
-        particular = np.zeros(moment_component_count(order))
-    a, null, svd = _checked_design(dirs, order)
-    target = values - a @ particular
-    solution = svd.vt.T @ ((svd.u.T @ target) / svd.sv)
-    x = particular + null @ solution
-    residual = float(np.linalg.norm((a @ null) @ solution - target))
-    components = MomentComponents(
-        order, n_photons, dict(zip(component_classes(order), x))
-    )
-    return components, SolveDiagnostics(float(svd.condition_number), residual, int(svd.rank))
-
-
-def assemble_all_tensors(components_by_order: dict, n_photons: int) -> dict:
-    """Tensors for every order present, assembled in increasing order.
-
-    Order one is the component vector itself; each further order
-    distributes its classes with commutator differences from the tensor
-    below.
-    """
-    tensors: dict[int, PolarizationTensor] = {}
-    for order in sorted(components_by_order):
-        comp = components_by_order[order]
-        if order == 1:
-            vec = np.array([comp[(1, 0)], comp[(0, 1)], comp[(0, 0)]], dtype=complex)
-            tensors[1] = PolarizationTensor(1, n_photons, vec)
-        else:
-            missing = [q for q in range(1, order) if q not in tensors]
-            if missing:
-                raise ValueError(f"cannot assemble order {order}; missing orders {missing}")
-            tensors[order] = assemble_tensor(comp, tensors)
-    return tensors
-
-
 # ---------------------------------------------------------------------------
 # Density-matrix reconstruction
 
@@ -612,48 +475,6 @@ def project_to_physical(hermitian: np.ndarray) -> tuple[np.ndarray, float]:
         raise NonPhysicalStateError("reconstruction collapsed to the zero matrix")
     projected = (evecs * (clipped / total)) @ evecs.conj().T
     return projected, trace_distance(hermitian, projected)
-
-
-def reconstruct_density(tensors: dict, n_photons: int) -> tuple[ManifoldState, ReconstructionDiagnostics]:
-    """Invert the complete tensor set of one manifold to its density matrix.
-
-    The spanning operator family is the identity plus all standard-ordered
-    products of orders up to the photon number; their expectations are the
-    corresponding sorted-word tensor entries.  The linear system is solved
-    by least squares, then the estimate is projected onto the physical
-    cone.
-    """
-    if n_photons == 0:
-        state = ManifoldState.mixed(0, np.array([[1.0 + 0j]]))
-        return state, ReconstructionDiagnostics(1, 0.0, 0.0)
-    for q in range(1, n_photons + 1):
-        if q not in tensors:
-            raise ValueError(f"missing tensor of order {q}")
-    dim = n_photons + 1
-    gens = stokes_vector_operators(n_photons)
-    rows = [np.eye(dim, dtype=complex).T.reshape(-1)]
-    rhs = [1.0 + 0j]
-    arrays = {
-        q: np.asarray(t.values if isinstance(t, PolarizationTensor) else t)
-        for q, t in tensors.items()
-    }
-    for order in range(1, n_photons + 1):
-        for k, l in component_classes(order):
-            word = wordalg.standard_word(k, l, order)
-            rows.append(wordalg.word_matrix(word, gens).T.reshape(-1))
-            rhs.append(wordalg.evaluate_word(word, arrays))
-    a = np.array(rows)
-    b = np.array(rhs)
-    rank = int(np.linalg.matrix_rank(a, tol=1e-8))
-    if rank < dim * dim:
-        raise StokesLabError(
-            f"ordered products span only {rank} of {dim * dim} dimensions on manifold {n_photons}"
-        )
-    solution, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.linalg.norm(a @ solution - b))
-    raw = solution.reshape(dim, dim)
-    projected, distance = project_to_physical((raw + raw.conj().T) / 2.0)
-    return ManifoldState.mixed(n_photons, projected), ReconstructionDiagnostics(rank, residual, distance)
 
 
 # ---------------------------------------------------------------------------
@@ -759,15 +580,14 @@ def run_tomography(
     from the laws along the direction sets of orders one to N by one
     least-squares fit of every outcome projector of those directions
     (_solve_manifold), whose per-order misfit is reported in probability
-    units; the order-by-order route of solve_moment_components,
-    assemble_all_tensors and reconstruct_density is kept as the reference
-    it is checked against.  The generic direction search of each order
-    from four up runs once per process, so only the first call pays it;
-    every call still checks each order's design for rank.  Manifolds
-    beyond the order cap (default 6) are skipped with a reason, as are
-    manifolds whose records hold fewer than MIN_COUNTS samples.  If that
-    leaves nothing to reconstruct, NoManifoldReconstructedError carries the
-    reasons.  The report holds
+    units; the paper's order-by-order route in reference.py is kept as
+    the reference it is checked against.  The generic direction search of
+    each order from four up runs once per process, so only the first call
+    pays it; every call still checks each order's design for rank.
+    Manifolds beyond the order cap (default 6) are skipped with a reason,
+    as are manifolds whose records hold fewer than MIN_COUNTS samples.  If
+    that leaves nothing to reconstruct, NoManifoldReconstructedError
+    carries the reasons.  The report holds
     dense 3^r tensors, so a manifold above MAX_TENSOR_ORDER within the cap
     raises ValueError before anything is measured, as do arguments of the
     wrong type or range.  Each order that a solved manifold needs must have
@@ -888,6 +708,7 @@ def non_resolved_manifold_moments(
     violation.  Manifolds with zero weight return None entries (undefined,
     following the sum convention for empty manifolds).
     """
+    check_finite("averaged moments", [s0_mean, s0_sq_mean, first, second, third])
     p1 = 2.0 * s0_mean - s0_sq_mean
     p2 = (s0_sq_mean - s0_mean) / 2.0
     p0 = 1.0 - p1 - p2
@@ -916,3 +737,7 @@ def averaged_second_order_components(measured, s0_mean: float, s0_sq_mean: float
     averaged squared-total value and removes the second-order redundancy.
     """
     return closed_form_second_order(measured, n_photons=None, casimir=s0_sq_mean + 2.0 * s0_mean)
+
+
+# The paper's order-by-order route, re-exported for callers of this module.
+from .reference import assemble_all_tensors, reconstruct_density, solve_moment_components  # noqa: E402

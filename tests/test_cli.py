@@ -356,6 +356,14 @@ def test_flag_value_rejected_with_its_expected_form(capsys, argv, message):
     assert "invalid literal" not in err
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5", ""])
+def test_manifold_cap_variable_rejected_with_its_expected_form(capsys, monkeypatch, value):
+    monkeypatch.setenv("STOKES_LAB_NMAX", value)
+    code, out, err = run_cli(capsys, "tomography", "--state", "noon:n=2", "--shots", "inf")
+    assert code == 1 and out == ""
+    assert err == f"error: STOKES_LAB_NMAX must be a non-negative integer, got {value!r}\n"
+
+
 def test_non_finite_unpolarized_parameter_rejected_without_warning(capsys, recwarn):
     code, out, err = run_cli(capsys, "state", "unpolarized", "--a", "0.3", "--theta", "inf")
     assert code == 1 and out == ""

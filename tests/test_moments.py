@@ -6,16 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stokes_lab import moments, wordalg
+from stokes_lab import moments, reference
 from stokes_lab.errors import TensorConsistencyError
 from stokes_lab.fock import stokes_vector_operators
 from stokes_lab.moments import (
     MAX_TENSOR_ORDER,
     MomentComponents,
     PolarizationTensor,
-    assemble_tensor,
-    assemble_tensor_order2,
-    assemble_tensor_order3,
     averaged_components,
     averaged_profile,
     averaged_tensor,
@@ -31,13 +28,18 @@ from stokes_lab.moments import (
     moment_component_count,
     moment_components,
     multi_direction_expectation,
-    ordered_product,
     polarization_tensor,
     profile_eval,
     stokes_profile,
     tensor_descend,
     uncertainty_bounds,
     variance_sum,
+)
+from stokes_lab.reference import (
+    assemble_tensor,
+    assemble_tensor_order2,
+    assemble_tensor_order3,
+    ordered_product,
 )
 from stokes_lab.states import (
     BlockDiagonalState,
@@ -169,7 +171,7 @@ class TestMomentComponents:
             comp = moment_components(tensor)
             for ones, twos in component_classes(r):
                 total = 0.0 + 0j
-                for w in wordalg.class_words(ones, twos, r):
+                for w in reference.class_words(ones, twos, r):
                     total += tensor.element(w)
                 assert comp[(ones, twos)] == total.real
 
@@ -307,21 +309,21 @@ class TestWordAlgebra:
         gens = stokes_vector_operators(3)
         for _ in range(10):
             word = tuple(rng.integers(1, 4, size=4))
-            direct = wordalg.word_matrix(word, gens)
+            direct = reference.word_matrix(word, gens)
             rebuilt = sum(
-                c * wordalg.word_matrix(w, gens) for w, c in wordalg.reduce_to_standard(word)
+                c * reference.word_matrix(w, gens) for w, c in reference.reduce_to_standard(word)
             )
             np.testing.assert_allclose(direct, rebuilt, atol=1e-12)
 
     def test_sorted_leading_term(self):
-        terms = dict(wordalg.reduce_to_standard((3, 1, 2)))
+        terms = dict(reference.reduce_to_standard((3, 1, 2)))
         assert terms[(1, 2, 3)] == 1.0
         assert all(len(w) < 3 for w in terms if w != (1, 2, 3))
 
     def test_class_words_count_is_trinomial(self):
         for r in range(1, 6):
             for k, l in component_classes(r):
-                assert len(wordalg.class_words(k, l, r)) == wordalg.trinomial(k, l, r)
+                assert len(reference.class_words(k, l, r)) == moments.trinomial(k, l, r)
 
 
 class TestCounting:
@@ -352,7 +354,7 @@ class TestCounting:
 
     @given(r=st.integers(1, 10))
     def test_trinomial_completeness(self, r):
-        assert sum(wordalg.trinomial(k, l, r) for k, l in component_classes(r)) == 3**r
+        assert sum(moments.trinomial(k, l, r) for k, l in component_classes(r)) == 3**r
 
 
 class TestDegreeAndCovariance:

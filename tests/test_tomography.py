@@ -1,11 +1,14 @@
 import hashlib
+import inspect
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from stokes_lab import tomography
+from stokes_lab import reference, tomography
 from stokes_lab.errors import NoManifoldReconstructedError, NonPhysicalStateError, RankDeficientError
 from stokes_lab.fock import Direction, as_direction, stokes_in_direction
 from stokes_lab.moments import (
@@ -34,7 +37,6 @@ from stokes_lab.tomography import (
     axes_directions,
     choose_directions,
     closed_form_second_order,
-    derive_third_order_fallback,
     distribution_moment,
     estimate_moments,
     generic_directions,
@@ -56,6 +58,9 @@ from conftest import random_density, random_direction
 
 E3 = Direction(0.0, 0.0, 1.0)
 E1 = Direction(1.0, 0.0, 0.0)
+
+# any float that is not finite: NaN or either infinity
+non_finite = st.floats(allow_nan=True, allow_infinity=True).map(lambda v: v if not math.isfinite(v) else math.nan)
 
 
 def eigh_outcome_distribution(state, n):
@@ -202,6 +207,28 @@ class TestSimulation:
             MeasurementRecord(setting, {(1, 1): 2})  # wrong total
         with pytest.raises(ValueError):
             MeasurementRecord(setting, {(1, 2): 3})  # impossible outcome
+        with pytest.raises(ValueError, match="integer pairs"):
+            MeasurementRecord(setting, {(1.5, -0.5): 3})  # fractional labels pass the parity test
+
+    @given(st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.booleans()), st.booleans())
+    def test_setting_requires_integer_shots_and_seed(self, bad, bad_seed):
+        # a float or bool must be refused here, before the sampler takes it as a count or key
+        shots, seed = (10, bad) if bad_seed else (bad, 3)
+        with pytest.raises(ValueError, match="must be an integer"):
+            MeasurementSetting(E1, shots, seed)
+
+    def test_setting_direction_is_a_validated_direction(self):
+        assert MeasurementSetting((0.0, 0.0, 1.0), 3, 0).direction == E3
+        with pytest.raises(ValueError, match="unit vector"):
+            MeasurementSetting((0.0, 0.0, 2.0), 3, 0)
+        record = simulate_measurement(noon(2), MeasurementSetting((1.0, 0.0, 0.0), 3, 0))
+        assert record_to_json(record)["direction"] == [1.0, 0.0, 0.0]
+
+    @given(st.floats(0.0, 3.0))
+    def test_record_requires_integer_counts(self, up):
+        setting = MeasurementSetting(E3, 3, 0)
+        with pytest.raises(ValueError, match="counts must be non-negative integers"):
+            MeasurementRecord(setting, {(1, 1): up, (1, -1): 3.0 - up})
 
     def test_statistical_consistency_over_seeds(self):
         # estimates fall within five standard errors almost always
@@ -290,7 +317,7 @@ class TestDirectionSets:
         assert sv[0] / sv[-1] < 100.0
 
     def test_fallback_constants_reproducible(self):
-        derived, cond = derive_third_order_fallback()
+        derived, cond = reference.derive_third_order_fallback()
         frozen = third_order_fallback_directions().directions[:3]
         for d, f in zip(derived, frozen):
             np.testing.assert_allclose(d.as_array(), f.as_array(), atol=1e-12)
@@ -587,9 +614,17 @@ class TestPipeline:
         def reference_route(*args, **kwargs):
             raise AssertionError("run_tomography left its one route from outcome laws")
 
+        # every function of the paper's route, wherever run_tomography could reach it
+        defined = [
+            name
+            for name, value in vars(reference).items()
+            if inspect.isfunction(inspect.unwrap(value)) and inspect.unwrap(value).__module__ == reference.__name__
+        ]
+        assert {"solve_moment_components", "_constraint_rhs", "paper_route_density", "reduce_to_standard"} <= set(defined)
+        for name in defined:
+            monkeypatch.setattr(reference, name, reference_route)
         for name in (
             "solve_moment_components",
-            "_constraint_rhs",
             "assemble_all_tensors",
             "reconstruct_density",
             "estimate_moments",
@@ -701,6 +736,23 @@ class TestNonResolved:
         state = ManifoldState.fock(3, 0)
         with pytest.raises(NonPhysicalStateError):
             non_resolved_manifold_moments(3.0, 9.0, 0.0, 0.0, 0.0)
+
+    @given(non_finite, st.integers(0, 4))
+    def test_non_finite_averaged_moments_rejected(self, bad, index):
+        moments = [1.0, 1.0, 0.3, 1.0, 0.3]
+        moments[index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            non_resolved_manifold_moments(*moments)
+        measured = [0.0] * 5
+        measured[index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            closed_form_second_order(measured, 2)
+        with pytest.raises(ValueError, match="finite"):
+            closed_form_second_order([0.0] * 5, casimir=bad)
+        with pytest.raises(ValueError, match="finite"):
+            averaged_second_order_components(measured, 1.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            averaged_second_order_components([0.0] * 5, *((bad, 1.0) if index % 2 else (1.0, bad)))
 
     def test_averaged_parameter_count(self):
         from stokes_lab.moments import averaged_parameter_count
