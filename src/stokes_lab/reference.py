@@ -8,14 +8,19 @@ expectations are entries of the tensors of those orders.  On that algebra
 rest the route's three steps: a Casimir-constrained inversion for each
 order's moment components (solve_moment_components), tensor assembly
 (assemble_all_tensors) and inversion of the complete tensor set
-(reconstruct_density); paper_route_density chains them.
+(reconstruct_density); paper_route_density chains them.  The paper's
+sample moments of the eigenvalue along one direction (estimate_moments,
+distribution_moment) sit here too: the moments follow from the outcome
+laws that run_tomography fits, so no production path needs them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,10 +37,12 @@ from .moments import (
 )
 from .states import ManifoldState
 from .tomography import (
+    MeasurementRecord,
     ReconstructionDiagnostics,
     SolveDiagnostics,
     _checked_design,
     _diagonal_lines,
+    _split_by_manifold,
     casimir_constraint_matrix,
     choose_directions,
     project_to_physical,
@@ -404,3 +411,52 @@ def derive_third_order_fallback(seed: int = 0xD1CE, iterations: int = 400, step:
         if c < best:
             current, best = candidate, c
     return tuple(Direction.from_vector(v, normalize=True) for v in current), best
+
+
+# ---------------------------------------------------------------------------
+# Sample moments along one direction
+
+
+class MomentEstimate(NamedTuple):
+    value: float
+    standard_error: float
+
+
+@dataclass(frozen=True)
+class EmpiricalMoments:
+    """Sample moments per manifold and order, with plug-in standard errors."""
+
+    shots: int
+    manifold_probabilities: dict  # n_photons -> MomentEstimate
+    moments: dict  # (n_photons, order) -> MomentEstimate
+
+    def moment(self, n_photons: int, order: int) -> MomentEstimate | None:
+        return self.moments.get((n_photons, order))
+
+
+def estimate_moments(record: MeasurementRecord, orders) -> EmpiricalMoments:
+    """Per-manifold sample moments of the measured eigenvalue.
+
+    Manifolds with no counts yield no estimates (undefined, not zero).
+    """
+    orders = sorted(set(int(r) for r in orders))
+    if any(r < 0 for r in orders):
+        raise ValueError("orders must be non-negative")
+    shots = record.setting.shots
+    probs = {}
+    moments = {}
+    for n, (tot, law) in sorted(_split_by_manifold(record.counts).items()):
+        p_hat = tot / shots
+        probs[n] = MomentEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / shots))
+        for r in orders:
+            powered = (n - 2.0 * np.arange(n + 1)) ** r
+            mean = float(powered @ law)
+            var = max(float(powered**2 @ law) - mean * mean, 0.0)
+            moments[(n, r)] = MomentEstimate(mean, math.sqrt(var / tot))
+    return EmpiricalMoments(shots, probs, moments)
+
+
+def distribution_moment(distribution: dict, order: int, n_photons: int) -> float | None:
+    """Manifold-conditioned moment of the eigenvalue, or None if unpopulated."""
+    _, law = _split_by_manifold(distribution).get(n_photons, (None, None))
+    return None if law is None else float(law @ (n_photons - 2.0 * np.arange(n_photons + 1)) ** order)

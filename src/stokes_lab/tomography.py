@@ -7,10 +7,15 @@ law p_N(d) over the eigenvalues N-2k, exact or counted.  Each entry
 p_k(d) = Tr(rho_N Pi_k(d)) is linear in rho_N, so run_tomography recovers
 each manifold by one least-squares solve with one row per outcome
 projector of all its directions, followed by a physicality projection.
-The paper's order-by-order route, a Casimir-constrained inversion per
-order, tensor assembly and inversion of the complete tensor set, lives in
-reference.py as the reference this module is checked against; the names
-solve_moment_components, assemble_all_tensors and reconstruct_density stay
+Shot mode samples the joint law of the whole state along each direction
+(outcome_distribution) and splits the counts by manifold; exact mode
+computes only the laws of the manifolds it solves, from the same rotated
+bases that give the solve rows.  The paper's order-by-order route, a
+Casimir-constrained inversion per order, tensor assembly and inversion of
+the complete tensor set, lives in reference.py as the reference this
+module is checked against, next to the sample moments of one direction;
+the names solve_moment_components, assemble_all_tensors,
+reconstruct_density, estimate_moments and distribution_moment stay
 importable from here.
 """
 
@@ -113,6 +118,14 @@ def outcome_distribution(state, n) -> dict:
     return {k: v / total for k, v in dist.items() if v > 0.0}
 
 
+def _exact_law(density: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Conditional outcome law of one manifold along the direction whose
+    rotated Fock basis is u: clip(diag(U^dag rho U)) normalized, entry k
+    the eigenvalue N-2k."""
+    probs = np.clip(((density @ u) * u.conj()).sum(axis=0).real, 0.0, None)
+    return probs / probs.sum()
+
+
 def _split_by_manifold(tally: dict) -> dict:
     """Weight and conditional outcome law of every manifold in one tally.
 
@@ -124,12 +137,6 @@ def _split_by_manifold(tally: dict) -> dict:
     for (n, s), weight in tally.items():
         tallies.setdefault(n, np.zeros(n + 1))[(n - s) // 2] = weight
     return {n: (float(w), t / w) for n, t in tallies.items() if (w := t.sum()) > 0.0}
-
-
-def distribution_moment(distribution: dict, order: int, n_photons: int) -> float | None:
-    """Manifold-conditioned moment of the eigenvalue, or None if unpopulated."""
-    _, law = _split_by_manifold(distribution).get(n_photons, (None, None))
-    return None if law is None else float(law @ (n_photons - 2.0 * np.arange(n_photons + 1)) ** order)
 
 
 def simulate_measurement(state, setting: MeasurementSetting) -> MeasurementRecord:
@@ -157,45 +164,6 @@ def simulate_measurement(state, setting: MeasurementSetting) -> MeasurementRecor
     return MeasurementRecord(
         setting, {o: int(c) for o, c in zip(outcomes, counts) if c > 0}
     )
-
-
-class MomentEstimate(NamedTuple):
-    value: float
-    standard_error: float
-
-
-@dataclass(frozen=True)
-class EmpiricalMoments:
-    """Sample moments per manifold and order, with plug-in standard errors."""
-
-    shots: int
-    manifold_probabilities: dict  # n_photons -> MomentEstimate
-    moments: dict  # (n_photons, order) -> MomentEstimate
-
-    def moment(self, n_photons: int, order: int) -> MomentEstimate | None:
-        return self.moments.get((n_photons, order))
-
-
-def estimate_moments(record: MeasurementRecord, orders) -> EmpiricalMoments:
-    """Per-manifold sample moments of the measured eigenvalue.
-
-    Manifolds with no counts yield no estimates (undefined, not zero).
-    """
-    orders = sorted(set(int(r) for r in orders))
-    if any(r < 0 for r in orders):
-        raise ValueError("orders must be non-negative")
-    shots = record.setting.shots
-    probs = {}
-    moments = {}
-    for n, (tot, law) in sorted(_split_by_manifold(record.counts).items()):
-        p_hat = tot / shots
-        probs[n] = MomentEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / shots))
-        for r in orders:
-            powered = (n - 2.0 * np.arange(n + 1)) ** r
-            mean = float(powered @ law)
-            var = max(float(powered**2 @ law) - mean * mean, 0.0)
-            moments[(n, r)] = MomentEstimate(mean, math.sqrt(var / tot))
-    return EmpiricalMoments(shots, probs, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +542,13 @@ def run_tomography(
     """Measure every populated manifold and invert its outcome laws to a state.
 
     shots=None runs the exact mode (no sampling).  Each unique direction is
-    measured once, and its outcomes, exact probabilities or shot counts,
-    are split into one conditional law per manifold (_split_by_manifold), so
-    both modes reach the solve by the same route.  Manifold N is recovered
-    from the laws along the direction sets of orders one to N by one
+    measured once.  Shot mode samples the whole state along it and splits
+    the counts into one conditional law per manifold (_split_by_manifold).
+    Exact mode rotates it once, up to the top manifold within the cap, and
+    reads from those bases both the exact law of each manifold it solves
+    and that manifold's solve rows, so manifolds the cap skips are never
+    rotated.  From the laws on, both modes take one route.  Manifold N is
+    recovered from the laws along the direction sets of orders one to N by one
     least-squares fit of every outcome projector of those directions
     (_solve_manifold), whose per-order misfit is reported in probability
     units; the paper's order-by-order route in reference.py is kept as
@@ -630,7 +601,15 @@ def run_tomography(
 
     records = []
     if shots is None:
-        split = {d: _split_by_manifold(outcome_distribution(block, d)) for d in unique}
+        # the solve rows read these bases too; the cap's skipped manifolds are never rotated
+        bases = {d: rotated_fock_bases(d, top) for d in unique}
+        densities = {n: ms.density() for n, _, ms in block.blocks if n <= order_cap}
+        laws = {
+            (d, n): _exact_law(densities[n], bases[d][n])
+            for n in populated
+            for r in range(1, n + 1)
+            for d in sets[r].directions
+        }
         probabilities = {n: block.probability(n) for n in populated}
         prob_errors = {n: 0.0 for n in populated}
     else:
@@ -640,6 +619,7 @@ def run_tomography(
             for i, d in enumerate(unique)
         ]
         split = {d: _split_by_manifold(record.counts) for d, record in zip(unique, records)}
+        laws = {(d, n): law for d, by_n in split.items() for n, (_, law) in by_n.items()}
         counts = {n: sum(int(by_n[n][0]) for by_n in split.values() if n in by_n) for n in populated}
         grand_total = shots * len(unique)
         probabilities = {n: c / grand_total for n, c in counts.items()}
@@ -655,11 +635,11 @@ def run_tomography(
             skipped[n] = f"only {counts[n]} samples across settings"
             continue
         orders = range(1, n + 1)
-        unsampled = [sets[r].label for r in orders if any(n not in split[d] for d in sets[r].directions)]
+        unsampled = [sets[r].label for r in orders if any((d, n) not in laws for d in sets[r].directions)]
         if unsampled:
             skipped[n] = f"no samples for manifold {n} along {unsampled[0]}"
             continue
-        solvable[n] = {r: [(d, split[d][n][1]) for d in sets[r].directions] for r in orders}
+        solvable[n] = {r: [(d, laws[d, n]) for d in sets[r].directions] for r in orders}
     if not solvable:
         raise NoManifoldReconstructedError(
             f"every populated manifold was skipped: {skipped}", skipped=skipped
@@ -667,7 +647,8 @@ def run_tomography(
     # only the orders and rotated bases of manifolds that are solved
     need = max(solvable)
     design = {r: _checked_design(sets[r].directions, r)[2] for r in range(1, need + 1)}
-    bases = {d: rotated_fock_bases(d, need) for r in design for d in sets[r].directions}
+    if shots is not None:
+        bases = {d: rotated_fock_bases(d, need) for r in design for d in sets[r].directions}
     return ReconstructionResult(
         manifolds={
             n: _solve_manifold(n, probabilities.get(n, 0.0), prob_errors.get(n, 0.0), m, bases, design)
@@ -739,5 +720,11 @@ def averaged_second_order_components(measured, s0_mean: float, s0_sq_mean: float
     return closed_form_second_order(measured, n_photons=None, casimir=s0_sq_mean + 2.0 * s0_mean)
 
 
-# The paper's order-by-order route, re-exported for callers of this module.
-from .reference import assemble_all_tensors, reconstruct_density, solve_moment_components  # noqa: E402
+# The paper's order-by-order route and sample moments, re-exported for callers of this module.
+from .reference import (  # noqa: E402
+    assemble_all_tensors,
+    distribution_moment,
+    estimate_moments,
+    reconstruct_density,
+    solve_moment_components,
+)

@@ -428,6 +428,13 @@ def test_factorials_csv(capsys):
     assert lookup[("F", 4, 2)] == "1"
 
 
+@pytest.mark.parametrize("max_n", ["101", "100000000", "-1"])
+def test_factorials_bound_rejected_with_one_error_line(capsys, max_n):
+    code, out, err = run_cli(capsys, "factorials", "--max-n", max_n)
+    assert code == 1 and out == ""
+    assert err == f"error: max_degree must lie in 0..100 (CentralFactorialTable.MAX_DEGREE), got {max_n}\n"
+
+
 def test_state_spec_file_round_trip(capsys, tmp_path):
     out_path = tmp_path / "state.json"
     run_cli(capsys, "state", "noon", "--n", "2", "--out", str(out_path))

@@ -635,6 +635,70 @@ class TestPipeline:
         assert 3 in run_tomography(state).manifolds
         assert 3 in run_tomography(state, shots=5000, seed=2).manifolds
 
+    def test_exact_mode_rotates_each_direction_once_up_to_the_cap(self, monkeypatch):
+        calls = []
+        rotate = tomography.rotated_fock_bases
+
+        def counted(n, n_max):
+            calls.append((n, n_max))
+            return rotate(n, n_max)
+
+        def whole_state(*args, **kwargs):
+            raise AssertionError("exact mode took the law of the whole state")
+
+        monkeypatch.setattr(tomography, "rotated_fock_bases", counted)
+        monkeypatch.setattr(tomography, "outcome_distribution", whole_state)
+        result = run_tomography(two_mode_coherent(2.0, 25))
+        unique = {d for r in range(1, 7) for d in choose_directions(r).directions}
+        assert sorted(result.manifolds) == list(range(7))
+        assert sorted(result.skipped) == list(range(7, 26))
+        assert len(calls) == len(unique) == 48
+        assert {d for d, _ in calls} == unique
+        assert {n_max for _, n_max in calls} == {6}
+
+    @pytest.mark.parametrize("top", [4, 6, 8, None], ids=["block-4", "block-6", "block-8-capped", "coherent-25"])
+    def test_exact_laws_match_the_law_of_the_whole_state(self, monkeypatch, rng, top):
+        if top is None:
+            state = two_mode_coherent(2.0, 25)
+        else:
+            weights = rng.dirichlet(np.ones(top + 1))
+            state = BlockDiagonalState(
+                tuple((n, float(p), ManifoldState.mixed(n, random_density(n, rng))) for n, p in enumerate(weights))
+            )
+        solved = []
+        solve = tomography._solve_manifold
+
+        def recorded(*args):
+            solved.append((args[0], args[3]))
+            return solve(*args)
+
+        monkeypatch.setattr(tomography, "_solve_manifold", recorded)
+        run_tomography(state)
+        assert [n for n, _ in solved] == [n for n in as_block_diagonal(state).manifolds if n <= 6]
+        for n, measured in solved:
+            assert sorted(measured) == list(range(1, n + 1))
+            for pairs in measured.values():
+                for d, law in pairs:
+                    whole = tomography._split_by_manifold(outcome_distribution(state, d))[n][1]
+                    np.testing.assert_allclose(law, whole, rtol=0, atol=1e-15)
+
+    def test_shot_mode_samples_the_whole_state_once_per_direction(self, monkeypatch):
+        sampled = []
+        simulate = tomography.simulate_measurement
+
+        def counted(state, setting):
+            sampled.append((state.manifolds, setting.direction))
+            return simulate(state, setting)
+
+        monkeypatch.setattr(tomography, "simulate_measurement", counted)
+        state = two_mode_coherent(1.0, 16)
+        result = run_tomography(state, shots=2000, seed=4)
+        unique = {d for r in range(1, 7) for d in choose_directions(r).directions}
+        assert len(sampled) == len({d for _, d in sampled}) == len(unique)
+        assert {d for _, d in sampled} == unique
+        assert {manifolds for manifolds, _ in sampled} == {state.manifolds}
+        assert len(result.records) == len(unique)
+
     @pytest.mark.parametrize(
         "state",
         [
