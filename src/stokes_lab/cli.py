@@ -169,13 +169,7 @@ def _cmd_tomography(args) -> int:
     state = _parse_state_spec(args.state)
     message = f"shots must be a positive integer or 'inf', got {args.shots!r}"
     shots = None if args.shots in (None, "inf") else _convert(int, args.shots, message)
-    result = run_tomography(
-        state,
-        shots=shots,
-        seed=args.seed,
-        direction_mode=args.directions,
-        max_order=args.order,
-    )
+    result = run_tomography(state, shots=shots, seed=args.seed, max_order=args.order)
     _emit(args.out, serialize.result_to_json(result, include_records=args.records))
     if result.skipped:
         sys.stderr.write(f"skipped manifolds: {result.skipped}\n")
@@ -226,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     tomo.add_argument("--shots", default=None, help="shot count per setting, or 'inf' for exact moments")
     tomo.add_argument("--seed", type=int, default=0)
     tomo.add_argument("--order", type=int, default=None, help="cap the moment order")
-    tomo.add_argument("--directions", default="auto", choices=("auto", "symmetric7"))
     tomo.add_argument("--records", action="store_true", help="include raw measurement records")
     tomo.add_argument("--out", default=None)
 

@@ -34,10 +34,14 @@ def manifold_cap() -> int:
 
 
 def check_manifold(n_photons: int) -> int:
-    """Validate a manifold label against the overflow guard."""
-    n = int(n_photons)
-    if n != n_photons or n < 0:
+    """Validate a manifold label against the overflow guard; returns it as int.
+
+    Python and numpy integers pass; bool and float do not, even 2.0, so a
+    label is an int wherever a state keeps it.
+    """
+    if isinstance(n_photons, bool) or not isinstance(n_photons, (int, np.integer)) or n_photons < 0:
         raise ValueError(f"photon number must be a non-negative integer, got {n_photons!r}")
+    n = int(n_photons)
     cap = manifold_cap()
     if n > cap:
         raise ValueError(
@@ -102,9 +106,6 @@ class Direction:
     def spherical(self) -> tuple[float, float]:
         """(theta, phi) with theta = arccos(z)."""
         return math.acos(min(1.0, max(-1.0, self.z))), math.atan2(self.y, self.x)
-
-    def opposite(self) -> "Direction":
-        return Direction(-self.x, -self.y, -self.z)
 
 
 def as_direction(n) -> Direction:

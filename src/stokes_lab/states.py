@@ -76,7 +76,7 @@ class ManifoldState:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        check_manifold(self.n_photons)
+        object.__setattr__(self, "n_photons", check_manifold(self.n_photons))
         if (self.amplitudes is None) == (self.matrix is None):
             raise ValueError("provide exactly one of amplitudes or matrix")
         dim = self.n_photons + 1
@@ -106,8 +106,7 @@ class ManifoldState:
     @classmethod
     def fock(cls, n_horizontal: int, n_vertical: int) -> "ManifoldState":
         """The number state with the given occupation of each mode."""
-        if n_horizontal < 0 or n_vertical < 0:
-            raise ValueError("occupations must be non-negative")
+        n_horizontal, n_vertical = check_manifold(n_horizontal), check_manifold(n_vertical)
         total = n_horizontal + n_vertical
         vec = np.zeros(total + 1, dtype=complex)
         vec[n_vertical] = 1.0
@@ -143,9 +142,11 @@ class BlockDiagonalState:
 
     def __post_init__(self):
         check_truncation_deficit(self.truncation_deficit)
+        blocks = tuple((check_manifold(n), p, state) for n, p, state in self.blocks)
+        object.__setattr__(self, "blocks", blocks)
         seen = set()
         total = 0.0
-        for n, p, state in self.blocks:
+        for n, p, state in blocks:
             if n in seen:
                 raise ValueError(f"duplicate manifold {n}")
             seen.add(n)
@@ -201,7 +202,7 @@ class GeneralTwoModeState:
     truncation_deficit: float = 0.0
 
     def __post_init__(self):
-        check_manifold(self.n_max)
+        object.__setattr__(self, "n_max", check_manifold(self.n_max))
         check_truncation_deficit(self.truncation_deficit)
         if (self.amplitudes is None) == (self.matrix is None):
             raise ValueError("provide exactly one of amplitudes or matrix")
@@ -313,7 +314,7 @@ def two_mode_coherent(mean_photons: float, n_max: int) -> BlockDiagonalState:
     """
     if check_finite("mean photon number", mean_photons) < 0:
         raise ValueError("mean photon number must be non-negative")
-    check_manifold(n_max)
+    n_max = check_manifold(n_max)
     weights = [math.exp(-mean_photons + n * math.log(mean_photons) - math.lgamma(n + 1)) if mean_photons > 0 else (1.0 if n == 0 else 0.0) for n in range(n_max + 1)]
     kept = sum(weights)
     deficit = 1.0 - kept
@@ -331,8 +332,6 @@ def two_mode_coherent(mean_photons: float, n_max: int) -> BlockDiagonalState:
 
 def twin_fock(pairs: int) -> ManifoldState:
     """Equal occupation of both modes; all odd-order direction moments vanish."""
-    if pairs < 0:
-        raise ValueError("pair count must be non-negative")
     return ManifoldState.fock(pairs, pairs)
 
 
@@ -343,9 +342,7 @@ def transformed_twin_fock(pairs: int, angles) -> ManifoldState:
     integer support; the azimuthal angle only contributes photon-number
     difference phases, and the final angle acts trivially.
     """
-    m = int(pairs)
-    if m < 0:
-        raise ValueError("pair count must be non-negative")
+    m = check_manifold(pairs)
     phi, theta, _ = angles
     n = check_manifold(2 * m)
     vec = np.zeros(n + 1, dtype=complex)
@@ -379,8 +376,7 @@ def tmsv(mean_photons: float, m_max: int, phases=None) -> GeneralTwoModeState:
     """
     if check_finite("mean photon number", mean_photons) < 0:
         raise ValueError("mean photon number must be non-negative")
-    if m_max < 0:
-        raise ValueError("m_max must be non-negative")
+    m_max = check_manifold(m_max)
     check_manifold(2 * m_max)
     q = mean_photons / (2.0 + mean_photons)
     tail = q ** (m_max + 1)

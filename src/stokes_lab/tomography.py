@@ -7,16 +7,17 @@ law p_N(d) over the eigenvalues N-2k, exact or counted.  Each entry
 p_k(d) = Tr(rho_N Pi_k(d)) is linear in rho_N, so run_tomography recovers
 each manifold by one least-squares solve with one row per outcome
 projector of all its directions, followed by a physicality projection.
+Order r has one direction set of 2r+1 lines (choose_directions), and each
+unique direction is rotated once per run; the solve rows read those bases.
 Shot mode samples the joint law of the whole state along each direction
 (outcome_distribution) and splits the counts by manifold; exact mode
-computes only the laws of the manifolds it solves, from the same rotated
-bases that give the solve rows.  The paper's order-by-order route, a
-Casimir-constrained inversion per order, tensor assembly and inversion of
-the complete tensor set, lives in reference.py as the reference this
-module is checked against, next to the sample moments of one direction;
-the names solve_moment_components, assemble_all_tensors,
-reconstruct_density, estimate_moments and distribution_moment stay
-importable from here.
+computes only the laws of the manifolds it solves, from the same bases.
+The paper's order-by-order route, a Casimir-constrained inversion per
+order, tensor assembly and inversion of the complete tensor set, lives in
+reference.py as the reference this module is checked against, next to the
+sample moments of one direction; the names solve_moment_components,
+assemble_all_tensors, reconstruct_density, estimate_moments and
+distribution_moment stay importable from here.
 """
 
 from __future__ import annotations
@@ -109,8 +110,7 @@ def outcome_distribution(state, n) -> dict:
     bases = rotated_fock_bases(n, max(block.manifolds))
     dist: dict[tuple[int, int], float] = {}
     for n_photons, p, ms in block.blocks:
-        u = bases[n_photons]
-        probs = np.clip(((ms.density() @ u) * u.conj()).sum(axis=0).real, 0.0, None)
+        probs = _outcome_probabilities(ms.density(), bases[n_photons])
         # keys in ascending eigenvalue order, k = N..0
         for k in range(n_photons, -1, -1):
             dist[(n_photons, n_photons - 2 * k)] = p * float(probs[k])
@@ -118,12 +118,11 @@ def outcome_distribution(state, n) -> dict:
     return {k: v / total for k, v in dist.items() if v > 0.0}
 
 
-def _exact_law(density: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Conditional outcome law of one manifold along the direction whose
-    rotated Fock basis is u: clip(diag(U^dag rho U)) normalized, entry k
-    the eigenvalue N-2k."""
-    probs = np.clip(((density @ u) * u.conj()).sum(axis=0).real, 0.0, None)
-    return probs / probs.sum()
+def _outcome_probabilities(density: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """clip(diag(U^dag rho U)): the outcome probabilities of one manifold
+    along the direction whose rotated Fock basis is u, entry k the
+    eigenvalue N-2k."""
+    return np.clip(((density @ u) * u.conj()).sum(axis=0).real, 0.0, None)
 
 
 def _split_by_manifold(tally: dict) -> dict:
@@ -335,22 +334,16 @@ def generic_directions(order: int) -> DirectionSet:
     )
 
 
-def choose_directions(order: int, mode: str = "auto") -> DirectionSet:
+def choose_directions(order: int) -> DirectionSet:
     """Measurement lines for one moment order.
 
-    mode "auto" picks the named sets for orders 1..3 (the conditioned
-    fallback at order 3) and the generic search beyond, which runs once
-    per order per process (generic_directions); "symmetric7" forces the
-    rank-deficient symmetric third-order set.
+    The named sets serve orders 1..3: at order 3 the conditioned fallback,
+    since the symmetric seven lines resolve only four of the seven free
+    components.  Higher orders take the generic search, which runs once
+    per order per process (generic_directions).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    if mode == "symmetric7":
-        if order != 3:
-            raise ValueError("the symmetric seven-line set is a third-order set")
-        return third_order_symmetric_directions()
-    if mode != "auto":
-        raise ValueError(f"unknown direction mode {mode!r}")
     if order == 1:
         return axes_directions()
     if order == 2:
@@ -536,19 +529,19 @@ def run_tomography(
     state,
     shots: int | None = None,
     seed: int = 0,
-    direction_mode: str = "auto",
     max_order: int | None = None,
 ) -> ReconstructionResult:
     """Measure every populated manifold and invert its outcome laws to a state.
 
     shots=None runs the exact mode (no sampling).  Each unique direction is
-    measured once.  Shot mode samples the whole state along it and splits
-    the counts into one conditional law per manifold (_split_by_manifold).
-    Exact mode rotates it once, up to the top manifold within the cap, and
-    reads from those bases both the exact law of each manifold it solves
-    and that manifold's solve rows, so manifolds the cap skips are never
-    rotated.  From the laws on, both modes take one route.  Manifold N is
-    recovered from the laws along the direction sets of orders one to N by one
+    rotated once, up to the top manifold within the cap, before anything is
+    measured; the solve rows of both modes read those bases.  Shot mode
+    samples the whole state along the direction and splits the counts into
+    one conditional law per manifold (_split_by_manifold).  Exact mode reads
+    the exact law of each manifold it solves from the same bases, so
+    manifolds the cap skips are never rotated.  From the laws on, both
+    modes take one route.  Manifold N is recovered from the laws along the
+    direction sets of orders one to N (choose_directions) by one
     least-squares fit of every outcome projector of those directions
     (_solve_manifold), whose per-order misfit is reported in probability
     units; the paper's order-by-order route in reference.py is kept as
@@ -558,15 +551,14 @@ def run_tomography(
     Manifolds beyond the order cap (default 6) are skipped with a reason,
     as are manifolds whose records hold fewer than MIN_COUNTS samples.  If
     that leaves nothing to reconstruct, NoManifoldReconstructedError
-    carries the reasons.  The report holds
-    dense 3^r tensors, so a manifold above MAX_TENSOR_ORDER within the cap
-    raises ValueError before anything is measured, as do arguments of the
-    wrong type or range.  Each order that a solved manifold needs must have
-    a direction set that resolves its free components on its own (the
-    paper's per-order design, which refuses "symmetric7" even where the
-    stacked fit has full rank), or RankDeficientError says which
-    combinations it leaves open; per_order condition_number and rank
-    describe that design, not the stacked fit.
+    carries the reasons.  The report holds dense 3^r tensors, so a
+    manifold above MAX_TENSOR_ORDER within the cap raises ValueError
+    before anything is measured, as do arguments of the wrong type or
+    range.  Each order that a solved manifold needs must have a direction
+    set that resolves its free components on its own (the paper's
+    per-order design), or RankDeficientError says which combinations it
+    leaves open; per_order condition_number and rank describe that design,
+    not the stacked fit.
     """
     # type(x) is int: bool is a subclass of int, but True is no shot count
     if shots is not None and not (type(shots) is int and shots >= 1):
@@ -575,16 +567,10 @@ def run_tomography(
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if max_order is not None and type(max_order) is not int:
         raise ValueError(f"max_order must be None or an integer, got {max_order!r}")
-    if direction_mode not in ("auto", "symmetric7"):
-        raise ValueError(f"unknown direction mode {direction_mode!r}")
     block = as_block_diagonal(state)
-    populated = list(block.manifolds)
-    if not populated:
-        raise ValueError("state has no populated manifolds")
-
     order_cap = DEFAULT_ORDER_CAP if max_order is None else max_order
-    deep_manifolds = {n for n in populated if n > order_cap}
-    populated = [n for n in populated if n <= order_cap]
+    deep_manifolds = {n for n in block.manifolds if n > order_cap}
+    populated = [n for n in block.manifolds if n <= order_cap]
     if not populated:
         raise ValueError("every populated manifold exceeds the order cap")
     top = max(populated)
@@ -593,23 +579,24 @@ def run_tomography(
             f"manifold {top} needs order-{top} tensors, above MAX_TENSOR_ORDER = "
             f"{MAX_TENSOR_ORDER}; lower max_order to skip it"
         )
-    sets = {r: choose_directions(r, mode=direction_mode if r == 3 else "auto") for r in range(1, top + 1)}
+    sets = {r: choose_directions(r) for r in range(1, top + 1)}
     unique = list(dict.fromkeys(d for dset in sets.values() for d in dset.directions))
     if not unique:
         # vacuum-only input: one setting still pins the photon distribution
         unique.append(Direction(0.0, 0.0, 1.0))
+    # the solve rows of both modes and the exact laws read these bases
+    bases = {d: rotated_fock_bases(d, top) for d in unique}
 
     records = []
     if shots is None:
-        # the solve rows read these bases too; the cap's skipped manifolds are never rotated
-        bases = {d: rotated_fock_bases(d, top) for d in unique}
         densities = {n: ms.density() for n, _, ms in block.blocks if n <= order_cap}
-        laws = {
-            (d, n): _exact_law(densities[n], bases[d][n])
+        probs = {
+            (d, n): _outcome_probabilities(densities[n], bases[d][n])
             for n in populated
             for r in range(1, n + 1)
             for d in sets[r].directions
         }
+        laws = {key: p / p.sum() for key, p in probs.items()}
         probabilities = {n: block.probability(n) for n in populated}
         prob_errors = {n: 0.0 for n in populated}
     else:
@@ -644,11 +631,8 @@ def run_tomography(
         raise NoManifoldReconstructedError(
             f"every populated manifold was skipped: {skipped}", skipped=skipped
         )
-    # only the orders and rotated bases of manifolds that are solved
-    need = max(solvable)
-    design = {r: _checked_design(sets[r].directions, r)[2] for r in range(1, need + 1)}
-    if shots is not None:
-        bases = {d: rotated_fock_bases(d, need) for r in design for d in sets[r].directions}
+    # only the orders of manifolds that are solved
+    design = {r: _checked_design(sets[r].directions, r)[2] for r in range(1, max(solvable) + 1)}
     return ReconstructionResult(
         manifolds={
             n: _solve_manifold(n, probabilities.get(n, 0.0), prob_errors.get(n, 0.0), m, bases, design)

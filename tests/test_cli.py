@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stokes_lab
-from stokes_lab import checks
+from stokes_lab import checks, tomography
 from stokes_lab.cli import _parse_state_spec, _profile_mesh, main
 from stokes_lab.closed_forms import noon_profile
 from stokes_lab.moments import averaged_components, profile_eval
@@ -245,11 +245,15 @@ def test_exact_tomography_bytes_do_not_depend_on_earlier_calls(capsys):
     assert outs[0] == outs[1] == fresh.stdout
 
 
-def test_tomography_symmetric_set_fails_with_rank_report(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "tomography", "--state", "noon:n=3", "--shots", "inf", "--directions", "symmetric7",
+def test_tomography_symmetric_set_fails_with_rank_report(capsys, monkeypatch):
+    # the symmetric seven lines in place of the conditioned order-3 set
+    chosen = tomography.choose_directions
+    monkeypatch.setattr(
+        tomography,
+        "choose_directions",
+        lambda order: tomography.third_order_symmetric_directions() if order == 3 else chosen(order),
     )
+    code, _, err = run_cli(capsys, "tomography", "--state", "noon:n=3", "--shots", "inf")
     assert code == 1
     assert "rank 4" in err
     assert err.startswith("error: ") and "condition number" in err and err.count("\n") == 1

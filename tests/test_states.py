@@ -551,6 +551,30 @@ def test_family_constructors_reject_non_finite_parameters(bad, good, bad_theta):
         tmsv(bad, 3)
 
 
+# each builder turns a photon-number argument n into a state and reads back
+# the label it keeps, which is 2 or 4 for n = 2
+_PHOTON_NUMBER_BUILDERS = {
+    "ManifoldState": (lambda n: ManifoldState.pure(n, [1, 0, 0]), lambda s: s.n_photons, 2),
+    "BlockDiagonalState": (lambda n: BlockDiagonalState(((n, 1.0, noon(2)),)), lambda s: s.manifolds[0], 2),
+    "GeneralTwoModeState": (lambda n: GeneralTwoModeState(n, {(1, 0): 1.0}), lambda s: s.n_max, 2),
+    "ManifoldState.fock": (lambda n: ManifoldState.fock(0, n), lambda s: s.n_photons, 2),
+    "two_mode_coherent": (lambda n: two_mode_coherent(1e-6, n), lambda s: s.manifolds[-1], 2),
+    "twin_fock": (twin_fock, lambda s: s.n_photons, 4),
+    "transformed_twin_fock": (lambda n: transformed_twin_fock(n, (0.3, 0.8, 0.1)), lambda s: s.n_photons, 4),
+    "tmsv": (lambda n: tmsv(1e-6, n), lambda s: s.n_max, 4),
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, True], ids=["float-integral", "float", "bool"])
+@pytest.mark.parametrize("name", sorted(_PHOTON_NUMBER_BUILDERS))
+def test_photon_numbers_are_integers_at_the_boundary(name, bad):
+    build, label, expected = _PHOTON_NUMBER_BUILDERS[name]
+    with pytest.raises(ValueError, match="photon number must be a non-negative integer"):
+        build(bad)
+    kept = label(build(np.int64(2)))
+    assert type(kept) is int and kept == expected
+
+
 @pytest.mark.parametrize(
     "extra, block, message",
     [

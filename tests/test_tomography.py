@@ -44,7 +44,6 @@ from stokes_lab.tomography import (
     non_resolved_manifold_moments,
     outcome_distribution,
     reconstruct_density,
-    reduced_design,
     reduced_design_singular_values,
     run_tomography,
     simulate_measurement,
@@ -374,11 +373,15 @@ class TestDirectionSets:
         assert choose_directions(1).label == "coordinate-axes"
         assert choose_directions(2).label == "icosahedral-five"
         assert choose_directions(3).label == "conditioned-seven"
-        symmetric = choose_directions(3, mode="symmetric7")
-        assert symmetric.label == "symmetric-seven"
-        assert reduced_design(symmetric.directions, 3)[2].rank == 4
-        with pytest.raises(ValueError):
-            choose_directions(2, mode="symmetric7")
+
+    def test_symmetric_seven_design_refused_with_rank_report(self):
+        # the per-order rank guard of run_tomography, on the set it does not measure along
+        with pytest.raises(RankDeficientError) as info:
+            tomography._checked_design(third_order_symmetric_directions().directions, 3)
+        assert info.value.rank == 4
+        assert info.value.expected == 7
+        assert np.asarray(info.value.deficient_directions).shape == (3, 10)
+        assert "rank 4" in str(info.value) and "condition number" in str(info.value)
 
 
 class TestSecondOrderInversion:
@@ -546,19 +549,33 @@ class TestPipeline:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert trace_distance(rho, state.density()) < 0.05
 
-    def test_symmetric_mode_raises(self, rng):
-        state = ManifoldState.mixed(3, random_density(3, rng))
-        with pytest.raises(RankDeficientError):
-            run_tomography(state, direction_mode="symmetric7")
+    @staticmethod
+    def _order_three_along_symmetric_seven(monkeypatch):
+        # run_tomography measures along the conditioned set; putting the
+        # symmetric seven lines in its place at order 3 exercises the rank guard
+        chosen = tomography.choose_directions
+        monkeypatch.setattr(
+            tomography,
+            "choose_directions",
+            lambda order: third_order_symmetric_directions() if order == 3 else chosen(order),
+        )
 
-    def test_rank_deficient_set_only_checked_where_it_is_needed(self, rng):
+    def test_symmetric_mode_raises(self, monkeypatch, rng):
+        self._order_three_along_symmetric_seven(monkeypatch)
+        state = ManifoldState.mixed(3, random_density(3, rng))
+        with pytest.raises(RankDeficientError) as info:
+            run_tomography(state)
+        assert info.value.rank == 4 and info.value.expected == 7
+
+    def test_rank_deficient_set_only_checked_where_it_is_needed(self, monkeypatch, rng):
         # the third-order set matters only if a manifold with N >= 3 is solved;
         # here the N = 3 block draws too few samples and is skipped
+        self._order_three_along_symmetric_seven(monkeypatch)
         blocks = (
             (1, 1 - 1e-9, ManifoldState.mixed(1, random_density(1, rng))),
             (3, 1e-9, ManifoldState.mixed(3, random_density(3, rng))),
         )
-        result = run_tomography(BlockDiagonalState(blocks), shots=2000, seed=4, direction_mode="symmetric7")
+        result = run_tomography(BlockDiagonalState(blocks), shots=2000, seed=4)
         assert list(result.manifolds) == [1]
         assert "samples" in result.skipped[3]
 
@@ -699,6 +716,38 @@ class TestPipeline:
         assert {manifolds for manifolds, _ in sampled} == {state.manifolds}
         assert len(result.records) == len(unique)
 
+    def test_shot_mode_rotates_each_direction_once_up_to_the_cap(self, monkeypatch, rng):
+        # the N = 3 block draws too few samples and is skipped, so only the
+        # orders of N = 1 are solved; the bases still reach manifold 3, once
+        calls, sampling = [], []
+        rotate, whole_state = tomography.rotated_fock_bases, tomography.outcome_distribution
+
+        def counted(n, n_max):
+            if not sampling:
+                calls.append((n, n_max))
+            return rotate(n, n_max)
+
+        def sampled(state, n):
+            sampling.append(n)
+            try:
+                return whole_state(state, n)
+            finally:
+                sampling.pop()
+
+        monkeypatch.setattr(tomography, "rotated_fock_bases", counted)
+        monkeypatch.setattr(tomography, "outcome_distribution", sampled)
+        blocks = (
+            (1, 1 - 1e-9, ManifoldState.mixed(1, random_density(1, rng))),
+            (3, 1e-9, ManifoldState.mixed(3, random_density(3, rng))),
+        )
+        result = run_tomography(BlockDiagonalState(blocks), shots=2000, seed=4)
+        unique = {d for r in range(1, 4) for d in choose_directions(r).directions}
+        assert list(result.manifolds) == [1]
+        assert "samples" in result.skipped[3]
+        assert len(calls) == len(unique) == 15
+        assert {d for d, _ in calls} == unique
+        assert {n_max for _, n_max in calls} == {3}
+
     @pytest.mark.parametrize(
         "state",
         [
@@ -749,7 +798,6 @@ class TestPipeline:
             pytest.param({"shots": 100, "seed": 1 << 64}, r"in \[0, 2\^64\)", id="seed-too-wide"),
             pytest.param({"max_order": True}, "max_order must be None or an integer", id="max-order-bool"),
             pytest.param({"max_order": 2.0}, "max_order must be None or an integer", id="max-order-float"),
-            pytest.param({"direction_mode": "bogus"}, "unknown direction mode 'bogus'", id="mode-unknown"),
         ],
     )
     def test_arguments_rejected_before_measuring(self, monkeypatch, kwargs, message):
@@ -758,7 +806,6 @@ class TestPipeline:
 
         monkeypatch.setattr(tomography, "choose_directions", measure)
         monkeypatch.setattr(tomography, "outcome_distribution", measure)
-        # N = 2 needs no order-3 set, so the direction mode is checked on its own
         with pytest.raises(ValueError, match=message):
             run_tomography(noon(2), **kwargs)
 
