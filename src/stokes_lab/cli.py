@@ -23,6 +23,7 @@ from .states import as_block_diagonal
 from .tomography import run_tomography
 
 DEFAULT_MESH = (181, 361)
+MAX_MESH_POINTS = 4_000_000  # 61 times the default mesh; 2000x2000 writes about 75 MB of JSON
 
 
 def _reject_constant(name: str):
@@ -159,6 +160,8 @@ def _cmd_profile(args) -> int:
             raise ValueError(message)
         if min(shape) < 2:
             raise ValueError("mesh needs at least two points per axis")
+        if shape[0] * shape[1] > MAX_MESH_POINTS:
+            raise ValueError(f"mesh {shape[0]}x{shape[1]} has more than MAX_MESH_POINTS = {MAX_MESH_POINTS} points")
     theta_deg, phi_deg, values = _profile_mesh(state, args.order, shape)
     payload = {"theta_deg": theta_deg, "phi_deg": phi_deg, "values": values}
     _emit(args.out, payload, _mesh_rows(theta_deg, phi_deg, values))

@@ -22,14 +22,16 @@ class TensorConsistencyError(StokesLabError):
 
 
 class RankDeficientError(StokesLabError):
-    """Raised when a tomography design matrix cannot resolve all unknowns.
+    """Raised when a tomography system cannot resolve all unknowns.
 
     Attributes:
         rank: numerical rank actually achieved.
         expected: number of independent unknowns.
         condition_number: ratio of extreme singular values.
-        deficient_directions: rows of the unresolved subspace, expressed in
-            moment-component coordinates (one row per missing rank).
+        deficient_directions: rows of the unresolved subspace, one per
+            missing rank, in the unknowns of the system that raised it:
+            vec(rho) for the stacked fit of run_tomography, moment
+            components for the per-order design of the reference route.
     """
 
     def __init__(self, message, rank, expected, condition_number, deficient_directions):

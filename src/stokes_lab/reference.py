@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import StokesLabError, TensorConsistencyError
+from .errors import RankDeficientError, StokesLabError, TensorConsistencyError
 from .fock import Direction, as_direction, stokes_vector_operators
 from .moments import (
     MomentComponents,
@@ -37,10 +37,10 @@ from .moments import (
 )
 from .states import ManifoldState
 from .tomography import (
+    RANK_TOL,
+    DesignSVD,
     MeasurementRecord,
     ReconstructionDiagnostics,
-    SolveDiagnostics,
-    _checked_design,
     _diagonal_lines,
     _split_by_manifold,
     casimir_constraint_matrix,
@@ -181,6 +181,31 @@ def _constraint_rhs(order: int, n_photons: int, lower_arrays: dict) -> np.ndarra
             raise StokesLabError(f"constraint ({k},{l}) has imaginary residue {value.imag:.3e}")
         rhs[i] = value.real
     return rhs
+
+
+@dataclass(frozen=True)
+class SolveDiagnostics:
+    condition_number: float
+    residual: float
+    rank: int
+
+
+def _checked_design(directions, order: int) -> tuple[np.ndarray, np.ndarray, DesignSVD]:
+    """reduced_design of a direction set that resolves every free component of
+    its order on its own; otherwise RankDeficientError names the unresolved
+    combinations, in moment-component coordinates."""
+    n_free = independent_moment_count(order)
+    a, null, svd = reduced_design(directions, order)
+    rank = int(svd.rank)
+    if rank < n_free:
+        raise RankDeficientError(
+            f"order-{order} design resolves only {rank} of {n_free} component combinations",
+            rank=rank,
+            expected=n_free,
+            condition_number=float(svd.condition_number),
+            deficient_directions=(null @ svd.vt[rank:].T).T,
+        )
+    return a, null, svd
 
 
 def solve_moment_components(
@@ -329,8 +354,8 @@ def reconstruct_density(tensors: dict, n_photons: int) -> tuple[ManifoldState, R
     The spanning operator family is the identity plus all standard-ordered
     products of orders up to the photon number; their expectations are the
     corresponding sorted-word tensor entries.  The linear system is solved
-    by least squares, then the estimate is projected onto the physical
-    cone.
+    by least squares, whose singular values give the rank and condition
+    number, then the estimate is projected onto the physical cone.
     """
     for q in range(1, n_photons + 1):
         if q not in tensors:
@@ -345,16 +370,16 @@ def reconstruct_density(tensors: dict, n_photons: int) -> tuple[ManifoldState, R
             rhs.append(evaluate_word(standard_word(k, l, order), arrays))
     a = np.array(rows)
     b = np.array(rhs)
-    rank = int(np.linalg.matrix_rank(a, tol=1e-8))
+    solution, _, rank, sv = np.linalg.lstsq(a, b, rcond=RANK_TOL)
     if rank < dim * dim:
         raise StokesLabError(
             f"ordered products span only {rank} of {dim * dim} dimensions on manifold {n_photons}"
         )
-    solution, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.linalg.norm(a @ solution - b))
     raw = solution.reshape(dim, dim)
     projected, distance = project_to_physical((raw + raw.conj().T) / 2.0)
-    return ManifoldState.mixed(n_photons, projected), ReconstructionDiagnostics(rank, residual, distance)
+    condition = float(sv[0] / sv[-1])
+    return ManifoldState.mixed(n_photons, projected), ReconstructionDiagnostics(int(rank), condition, residual, distance)
 
 
 def paper_route_density(state: ManifoldState) -> np.ndarray:

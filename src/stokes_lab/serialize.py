@@ -157,14 +157,6 @@ def record_from_json(payload) -> MeasurementRecord:
 
 
 def manifold_reconstruction_to_json(rec: ManifoldReconstruction) -> dict:
-    solve = {
-        str(order): {
-            "condition_number": diag.condition_number,
-            "residual": diag.residual,
-            "rank": diag.rank,
-        }
-        for order, diag in rec.solve_diagnostics.items()
-    }
     return {
         "N": rec.n_photons,
         "pN": rec.probability,
@@ -173,12 +165,10 @@ def manifold_reconstruction_to_json(rec: ManifoldReconstruction) -> dict:
         "tensors": {str(r): tensor_to_json(t) for r, t in rec.tensors.items()},
         "rho": _complex_pairs(rec.state.density()),
         "diagnostics": {
-            "condition_number": max(
-                (d.condition_number for d in rec.solve_diagnostics.values()), default=1.0
-            ),
+            "condition_number": rec.reconstruction.condition_number,
             "projection_distance": rec.reconstruction.projection_distance,
             "residual": rec.reconstruction.lstsq_residual,
-            "per_order": solve,
+            "per_order": {str(r): {"residual": v} for r, v in rec.residuals.items()},
         },
     }
 

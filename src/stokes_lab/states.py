@@ -210,13 +210,14 @@ class GeneralTwoModeState:
             clean = {}
             norm_sq = 0.0
             for (nh, nv), amp in self.amplitudes.items():
-                if nh < 0 or nv < 0 or nh + nv > self.n_max:
+                nh, nv = check_manifold(nh), check_manifold(nv)
+                if nh + nv > self.n_max:
                     raise ValueError(
                         f"occupation ({nh}, {nv}) outside the lattice (n_max={self.n_max})"
                     )
                 amp = check_finite(f"amplitude of ({nh}, {nv})", complex(amp))
                 if amp != 0:
-                    clean[(int(nh), int(nv))] = amp
+                    clean[(nh, nv)] = amp
                     norm_sq += abs(amp) ** 2
             if abs(norm_sq - 1.0) > PSD_TOL:
                 raise NonPhysicalStateError(f"lattice state norm^2 {norm_sq} differs from 1")

@@ -274,7 +274,7 @@ def constraint_nullspace(order: int) -> np.ndarray:
 
 
 class DesignSVD(NamedTuple):
-    """Thin SVD of a reduced design, or of a stack of them, read by the rank rule."""
+    """Thin SVD of a design, or of a stack of them, read by the rank rule."""
 
     u: np.ndarray
     sv: np.ndarray
@@ -284,7 +284,7 @@ class DesignSVD(NamedTuple):
 
 
 def _design_svd(reduced: np.ndarray) -> DesignSVD:
-    """The one route from reduced designs to their rank and conditioning."""
+    """The one route from designs to their rank and conditioning."""
     u, sv, vt = np.linalg.svd(reduced, full_matrices=False)
     with np.errstate(divide="ignore"):
         condition = sv[..., 0] / sv[..., -1]
@@ -385,30 +385,6 @@ def closed_form_second_order(measured, n_photons: int | None = None, casimir: fl
     return MomentComponents(2, n_photons, values)
 
 
-@dataclass(frozen=True)
-class SolveDiagnostics:
-    condition_number: float
-    residual: float
-    rank: int
-
-
-def _checked_design(directions, order: int) -> tuple[np.ndarray, np.ndarray, DesignSVD]:
-    """reduced_design of a direction set that resolves every free component;
-    otherwise RankDeficientError names the unresolved component combinations."""
-    n_free = independent_moment_count(order)
-    a, null, svd = reduced_design(directions, order)
-    rank = int(svd.rank)
-    if rank < n_free:
-        raise RankDeficientError(
-            f"order-{order} design resolves only {rank} of {n_free} component combinations",
-            rank=rank,
-            expected=n_free,
-            condition_number=float(svd.condition_number),
-            deficient_directions=(null @ svd.vt[rank:].T).T,
-        )
-    return a, null, svd
-
-
 # ---------------------------------------------------------------------------
 # Density-matrix reconstruction
 
@@ -421,6 +397,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass(frozen=True)
 class ReconstructionDiagnostics:
     system_rank: int
+    condition_number: float  # largest over smallest singular value of the fit
     lstsq_residual: float
     projection_distance: float
 
@@ -450,7 +427,7 @@ class ManifoldReconstruction:
     components: dict  # order -> MomentComponents
     tensors: dict  # order -> PolarizationTensor
     state: ManifoldState
-    solve_diagnostics: dict  # order -> SolveDiagnostics
+    residuals: dict  # order -> misfit of that order's outcome rows
     reconstruction: ReconstructionDiagnostics
 
 
@@ -472,7 +449,7 @@ class ReconstructionResult:
         return BlockDiagonalState(tuple((n, p / total, s) for n, p, s in blocks))
 
 
-def _solve_manifold(n_photons, probability, probability_error, measured, bases, design):
+def _solve_manifold(n_photons, probability, probability_error, measured, bases):
     """Reconstruct one manifold from the outcome laws of all its directions.
 
     measured maps each order r to (direction, law) pairs, law being the
@@ -485,9 +462,10 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases, 
     multipole rows t_r(d.S) (x) t_r(d.S), every direction informs every
     rank, not only its own order.  Components and tensors are those of the
     Hermitian part of the raw estimate; the state is its physicality
-    projection.  design holds the DesignSVD of each order's direction set;
-    the per-order diagnostics pair its rank and condition number with the
-    misfit over that order's outcome rows, in probability units.
+    projection.  The diagnostics hold the rank and condition number of this
+    fit, from the singular values lstsq returns, and the misfit of each
+    order's outcome rows in probability units.  Rows that leave a direction
+    of vec(rho) unresolved raise RankDeficientError.
     """
     dim = n_photons + 1
     rows, rhs, row_orders = [np.eye(dim, dtype=complex).reshape(1, -1)], [np.ones(1)], [0]
@@ -499,11 +477,16 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases, 
             rhs.append(law)
             row_orders += [r] * dim
     a, b = np.concatenate(rows), np.concatenate(rhs)
-    # unit-norm rows: the per-order designs' relative cut RANK_TOL applies here too
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_TOL)
+    # unit-norm rows, so the relative cut RANK_TOL of the design rank rule applies
+    x, _, rank, sv = np.linalg.lstsq(a, b, rcond=RANK_TOL)
     if rank < dim * dim:
-        raise StokesLabError(
-            f"outcome laws span only {rank} of {dim * dim} dimensions on manifold {n_photons}"
+        svd = _design_svd(a)
+        raise RankDeficientError(
+            f"outcome laws span only {rank} of {dim * dim} dimensions on manifold {n_photons}",
+            rank=int(rank),
+            expected=dim * dim,
+            condition_number=float(svd.condition_number),
+            deficient_directions=svd.vt[rank:].conj(),
         )
     misfit, row_orders = a @ x - b, np.array(row_orders)
     residuals = {r: float(np.linalg.norm(misfit[row_orders == r])) for r in measured}
@@ -520,8 +503,8 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases, 
         {r: moment_components(t) for r, t in tensors.items()},
         tensors,
         ManifoldState.mixed(n_photons, projected),
-        {r: SolveDiagnostics(float(design[r].condition_number), residuals[r], int(design[r].rank)) for r in measured},
-        ReconstructionDiagnostics(int(rank), float(np.linalg.norm(misfit)), distance),
+        residuals,
+        ReconstructionDiagnostics(int(rank), float(sv[0] / sv[-1]), float(np.linalg.norm(misfit)), distance),
     )
 
 
@@ -543,22 +526,19 @@ def run_tomography(
     modes take one route.  Manifold N is recovered from the laws along the
     direction sets of orders one to N (choose_directions) by one
     least-squares fit of every outcome projector of those directions
-    (_solve_manifold), whose per-order misfit is reported in probability
-    units; the paper's order-by-order route in reference.py is kept as
-    the reference it is checked against.  The generic direction search of
-    each order from four up runs once per process, so only the first call
-    pays it; every call still checks each order's design for rank.
-    Manifolds beyond the order cap (default 6) are skipped with a reason,
-    as are manifolds whose records hold fewer than MIN_COUNTS samples.  If
+    (_solve_manifold), which reports its condition number and per-order
+    misfit; the paper's order-by-order route with its per-order design
+    (reference.py) is the reference it is checked against and never runs
+    here.  The generic direction search of each order from four up runs
+    once per process, so only the first call pays it.  Manifolds beyond
+    the order cap (default 6) are skipped with a reason, as are manifolds
+    whose records hold fewer than MIN_COUNTS samples.  If
     that leaves nothing to reconstruct, NoManifoldReconstructedError
     carries the reasons.  The report holds dense 3^r tensors, so a
     manifold above MAX_TENSOR_ORDER within the cap raises ValueError
     before anything is measured, as do arguments of the wrong type or
-    range.  Each order that a solved manifold needs must have a direction
-    set that resolves its free components on its own (the paper's
-    per-order design), or RankDeficientError says which combinations it
-    leaves open; per_order condition_number and rank describe that design,
-    not the stacked fit.
+    range.  The stacked fit of a solved manifold must resolve all of rho,
+    or RankDeficientError says which directions of vec(rho) it leaves open.
     """
     # type(x) is int: bool is a subclass of int, but True is no shot count
     if shots is not None and not (type(shots) is int and shots >= 1):
@@ -631,11 +611,9 @@ def run_tomography(
         raise NoManifoldReconstructedError(
             f"every populated manifold was skipped: {skipped}", skipped=skipped
         )
-    # only the orders of manifolds that are solved
-    design = {r: _checked_design(sets[r].directions, r)[2] for r in range(1, max(solvable) + 1)}
     return ReconstructionResult(
         manifolds={
-            n: _solve_manifold(n, probabilities.get(n, 0.0), prob_errors.get(n, 0.0), m, bases, design)
+            n: _solve_manifold(n, probabilities.get(n, 0.0), prob_errors.get(n, 0.0), m, bases)
             for n, m in solvable.items()
         },
         skipped=skipped,

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import stokes_lab
-from stokes_lab import checks, tomography
-from stokes_lab.cli import _parse_state_spec, _profile_mesh, main
+from stokes_lab import checks, cli, tomography
+from stokes_lab.cli import MAX_MESH_POINTS, _parse_state_spec, _profile_mesh, main
 from stokes_lab.closed_forms import noon_profile
+from stokes_lab.fock import Direction
 from stokes_lab.moments import averaged_components, profile_eval
 from stokes_lab.serialize import state_from_json
 from stokes_lab.tomography import trace_distance
@@ -245,17 +246,16 @@ def test_exact_tomography_bytes_do_not_depend_on_earlier_calls(capsys):
     assert outs[0] == outs[1] == fresh.stdout
 
 
-def test_tomography_symmetric_set_fails_with_rank_report(capsys, monkeypatch):
-    # the symmetric seven lines in place of the conditioned order-3 set
-    chosen = tomography.choose_directions
+def test_tomography_lines_all_along_z_fail_with_rank_report(capsys, monkeypatch):
+    # +z lines see only the diagonal of rho: 3 of the 9 dimensions at N = 2
     monkeypatch.setattr(
         tomography,
         "choose_directions",
-        lambda order: tomography.third_order_symmetric_directions() if order == 3 else chosen(order),
+        lambda order: tomography.DirectionSet("all-z", order, (Direction(0.0, 0.0, 1.0),) * (2 * order + 1)),
     )
-    code, _, err = run_cli(capsys, "tomography", "--state", "noon:n=3", "--shots", "inf")
-    assert code == 1
-    assert "rank 4" in err
+    code, out, err = run_cli(capsys, "tomography", "--state", "noon:n=2", "--shots", "inf")
+    assert code == 1 and out == ""
+    assert "rank 3" in err
     assert err.startswith("error: ") and "condition number" in err and err.count("\n") == 1
 
 
@@ -358,6 +358,29 @@ def test_flag_value_rejected_with_its_expected_form(capsys, argv, message):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err
     assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("mesh", ["100000x100000", "2000x2001"])
+def test_profile_mesh_above_the_bound_rejected_before_allocating(capsys, monkeypatch, mesh):
+    def allocate(*args):
+        raise AssertionError("built a mesh above the bound")
+
+    monkeypatch.setattr(cli, "_profile_mesh", allocate)
+    code, out, err = run_cli(capsys, "profile", "--state", "noon:n=2", "--order", "2", "--mesh", mesh)
+    assert code == 1 and out == ""
+    assert err == f"error: mesh {mesh} has more than MAX_MESH_POINTS = {MAX_MESH_POINTS} points\n"
+
+
+def test_profile_mesh_at_the_bound_accepted(capsys, monkeypatch):
+    shapes = []
+
+    def record(state, order, shape):
+        shapes.append(shape)
+        return [0.0], [0.0], [[0.0]]
+
+    monkeypatch.setattr(cli, "_profile_mesh", record)
+    code, _, _ = run_cli(capsys, "profile", "--state", "noon:n=2", "--order", "2", "--mesh", "2000x2000")
+    assert code == 0 and shapes == [(2000, 2000)] and 2000 * 2000 == MAX_MESH_POINTS
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "1.5", ""])

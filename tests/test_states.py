@@ -576,6 +576,18 @@ def test_photon_numbers_are_integers_at_the_boundary(name, bad):
 
 
 @pytest.mark.parametrize(
+    "key",
+    [(1.5, 0), (2.0, 0), (True, 0), (0, 1.5), (-1, 1)],
+    ids=["float", "float-integral", "bool", "float-vertical", "negative"],
+)
+def test_lattice_occupations_are_integers(key):
+    with pytest.raises(ValueError, match="photon number must be a non-negative integer"):
+        GeneralTwoModeState(2, {key: 1.0})
+    kept = GeneralTwoModeState(2, {(np.int64(1), np.int64(0)): 1.0}).amplitudes
+    assert kept == {(1, 0): 1.0} and all(type(n) is int for n in next(iter(kept)))
+
+
+@pytest.mark.parametrize(
     "extra, block, message",
     [
         pytest.param(

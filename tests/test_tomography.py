@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from stokes_lab import reference, tomography
 from stokes_lab.errors import NoManifoldReconstructedError, NonPhysicalStateError, RankDeficientError
-from stokes_lab.fock import Direction, as_direction, stokes_in_direction
+from stokes_lab.fock import Direction, as_direction, rotated_fock_bases, stokes_in_direction
 from stokes_lab.moments import (
     MAX_TENSOR_ORDER,
     averaged_profile,
@@ -31,6 +31,7 @@ from stokes_lab.states import (
     unpolarized_two_photon,
 )
 from stokes_lab.tomography import (
+    DirectionSet,
     MeasurementRecord,
     MeasurementSetting,
     averaged_second_order_components,
@@ -359,9 +360,8 @@ class TestDirectionSets:
         svd = tomography._design_svd
 
         def counting_svd(reduced):
-            # the search scores a stack of candidate designs; the rank gate one design
-            if reduced.ndim == 3:
-                searched.append(reduced.shape)
+            # the search scores a stack of candidate designs; a fit of full rank takes no SVD
+            searched.append(reduced.shape)
             return svd(reduced)
 
         monkeypatch.setattr(tomography, "_design_svd", counting_svd)
@@ -375,9 +375,9 @@ class TestDirectionSets:
         assert choose_directions(3).label == "conditioned-seven"
 
     def test_symmetric_seven_design_refused_with_rank_report(self):
-        # the per-order rank guard of run_tomography, on the set it does not measure along
+        # the per-order rank guard of the paper's route, which run_tomography does not take
         with pytest.raises(RankDeficientError) as info:
-            tomography._checked_design(third_order_symmetric_directions().directions, 3)
+            reference._checked_design(third_order_symmetric_directions().directions, 3)
         assert info.value.rank == 4
         assert info.value.expected == 7
         assert np.asarray(info.value.deficient_directions).shape == (3, 10)
@@ -549,35 +549,64 @@ class TestPipeline:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert trace_distance(rho, state.density()) < 0.05
 
-    @staticmethod
-    def _order_three_along_symmetric_seven(monkeypatch):
-        # run_tomography measures along the conditioned set; putting the
-        # symmetric seven lines in its place at order 3 exercises the rank guard
+    def test_symmetric_seven_at_order_three_reconstructs(self, monkeypatch, rng):
+        # on their own these lines resolve 4 of the 7 free third-order
+        # components; the fit of every outcome of orders 1..3 resolves rho
         chosen = tomography.choose_directions
         monkeypatch.setattr(
             tomography,
             "choose_directions",
             lambda order: third_order_symmetric_directions() if order == 3 else chosen(order),
         )
-
-    def test_symmetric_mode_raises(self, monkeypatch, rng):
-        self._order_three_along_symmetric_seven(monkeypatch)
         state = ManifoldState.mixed(3, random_density(3, rng))
-        with pytest.raises(RankDeficientError) as info:
-            run_tomography(state)
-        assert info.value.rank == 4 and info.value.expected == 7
+        rec = run_tomography(state).manifolds[3]
+        assert rec.reconstruction.system_rank == 16
+        assert rec.reconstruction.condition_number < 10.0
+        assert trace_distance(rec.state.density(), state.density()) <= 1e-7
 
-    def test_rank_deficient_set_only_checked_where_it_is_needed(self, monkeypatch, rng):
-        # the third-order set matters only if a manifold with N >= 3 is solved;
-        # here the N = 3 block draws too few samples and is skipped
-        self._order_three_along_symmetric_seven(monkeypatch)
-        blocks = (
-            (1, 1 - 1e-9, ManifoldState.mixed(1, random_density(1, rng))),
-            (3, 1e-9, ManifoldState.mixed(3, random_density(3, rng))),
+    @pytest.mark.parametrize("shots", [None, 2000], ids=["exact", "shots"])
+    def test_lines_all_along_z_raise_from_the_stacked_gate(self, monkeypatch, shots):
+        # +z outcomes see only the diagonal of rho, 3 of the 9 dimensions at N = 2
+        monkeypatch.setattr(
+            tomography, "choose_directions", lambda order: DirectionSet("all-z", order, (E3,) * (2 * order + 1))
         )
-        result = run_tomography(BlockDiagonalState(blocks), shots=2000, seed=4)
-        assert list(result.manifolds) == [1]
-        assert "samples" in result.skipped[3]
+        with pytest.raises(RankDeficientError) as info:
+            run_tomography(noon(2), shots=shots, seed=1)
+        assert (info.value.rank, info.value.expected) == (3, 9)
+        deficient = np.asarray(info.value.deficient_directions)
+        assert deficient.shape == (6, 9)
+        # the unresolved directions of vec(rho) are its off-diagonal entries
+        np.testing.assert_allclose(deficient[:, [0, 4, 8]], 0.0, atol=1e-12)
+        assert "rank 3" in str(info.value) and "condition number" in str(info.value)
+
+    def test_condition_number_is_that_of_the_fit_that_runs(self, rng):
+        for n in range(1, 9):
+            # the trace row and vec(u_k u_k^dag) for each outcome of each direction of orders 1..n
+            rows = [np.eye(n + 1).reshape(1, -1)]
+            for r in range(1, n + 1):
+                for d in choose_directions(r).directions:
+                    u = rotated_fock_bases(d, n)[n]
+                    rows += [np.outer(u[:, k], u[:, k].conj()).reshape(1, -1) for k in range(n + 1)]
+            want = np.linalg.cond(np.concatenate(rows))
+            state = ManifoldState.mixed(n, random_density(n, rng))
+            exact = run_tomography(state, max_order=n).manifolds[n].reconstruction
+            counted = run_tomography(state, shots=2000, seed=1, max_order=n).manifolds[n].reconstruction
+            assert exact.condition_number == pytest.approx(want, rel=1e-12, abs=0)
+            assert counted.condition_number == exact.condition_number
+            assert exact.condition_number < 10.0
+            assert exact.system_rank == counted.system_rank == (n + 1) ** 2
+
+    def test_warm_run_builds_no_per_order_design(self, monkeypatch, rng):
+        state = ManifoldState.mixed(6, random_density(6, rng))
+        run_tomography(state)  # the first call of a process may search the generic sets
+
+        def per_order_design(*args, **kwargs):
+            raise AssertionError("run_tomography built the per-order design of the paper's route")
+
+        for name in ("reduced_design", "constraint_nullspace", "design_matrix"):
+            monkeypatch.setattr(tomography, name, per_order_design)
+        assert 6 in run_tomography(state).manifolds
+        assert 6 in run_tomography(state, shots=5000, seed=2).manifolds
 
     def test_max_order_caps_reconstruction_inputs(self, rng):
         state = ManifoldState.mixed(1, random_density(1, rng))
@@ -769,12 +798,12 @@ class TestPipeline:
         state = su2_coherent(3, 0.8, 0.3)
         noisy = run_tomography(state, shots=100_000, seed=3).manifolds[3]
         exact = run_tomography(state).manifolds[3]
-        assert sorted(noisy.solve_diagnostics) == [1, 2, 3]
-        for diag in noisy.solve_diagnostics.values():
-            assert diag.residual > 1e-4
+        assert sorted(noisy.residuals) == [1, 2, 3]
+        for residual in noisy.residuals.values():
+            assert residual > 1e-4
         assert noisy.reconstruction.lstsq_residual > 1e-4
-        for diag in exact.solve_diagnostics.values():
-            assert diag.residual <= 1e-12
+        for residual in exact.residuals.values():
+            assert residual <= 1e-12
         assert exact.reconstruction.lstsq_residual <= 1e-12
 
     def test_manifold_above_the_tensor_bound_rejected_before_measuring(self, monkeypatch):
