@@ -178,8 +178,8 @@ def verify_tomography() -> list[CheckResult]:
     dev = float(np.abs(closed.as_vector() - solved.as_vector()).max())
     out.append(_result("tomography", "second-order-dual-route", dev <= 1e-9, f"max dev {dev:.2e}"))
 
-    _, _, svd = tomography.reduced_design(tomography.third_order_symmetric_directions().directions, 3)
-    rank, sv = int(svd.rank), svd.sv
+    _, _, svd = reference.reduced_design(tomography.third_order_symmetric_directions().directions, 3)
+    rank, sv = svd.rank, svd.sv
     out.append(
         _result(
             "tomography",
@@ -188,8 +188,8 @@ def verify_tomography() -> list[CheckResult]:
             f"rank {rank}, sigma5/sigma1 {sv[4] / sv[0]:.2e}",
         )
     )
-    _, _, svd = tomography.reduced_design(tomography.third_order_fallback_directions().directions, 3)
-    cond = float(svd.condition_number)
+    _, _, svd = reference.reduced_design(tomography.third_order_fallback_directions().directions, 3)
+    cond = svd.condition_number
     out.append(
         _result(
             "tomography",

@@ -3,7 +3,9 @@
 All subcommands are deterministic given their flags and seeds; identical
 invocations write identical bytes.  A .csv or .json --out path picks the
 format; any other path, or stdout, gets CSV from factorials and JSON from the
-rest.  Every failure ends in one "error: ..." line on stderr and exit code 1.
+rest.  Every failure of a parsed command ends in one "error: ..." line on
+stderr and exit code 1; a flag argparse cannot parse gets argparse's usage
+and error lines and exit code 2.
 """
 
 from __future__ import annotations

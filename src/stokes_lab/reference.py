@@ -8,7 +8,9 @@ expectations are entries of the tensors of those orders.  On that algebra
 rest the route's three steps: a Casimir-constrained inversion for each
 order's moment components (solve_moment_components), tensor assembly
 (assemble_all_tensors) and inversion of the complete tensor set
-(reconstruct_density); paper_route_density chains them.  The paper's
+(reconstruct_density); paper_route_density chains them.  Each order's
+inversion reads the design of its 2r+1 direction moments restricted to the
+null space of the Casimir constraints (reduced_design).  The paper's
 sample moments of the eigenvalue along one direction (estimate_moments,
 distribution_moment) sit here too: the moments follow from the outcome
 laws that run_tomography fits, so no production path needs them.
@@ -38,15 +40,12 @@ from .moments import (
 from .states import ManifoldState
 from .tomography import (
     RANK_TOL,
-    DesignSVD,
     MeasurementRecord,
     ReconstructionDiagnostics,
     _diagonal_lines,
     _split_by_manifold,
-    casimir_constraint_matrix,
     choose_directions,
     project_to_physical,
-    reduced_design,
 )
 
 Word = tuple[int, ...]
@@ -183,6 +182,72 @@ def _constraint_rhs(order: int, n_photons: int, lower_arrays: dict) -> np.ndarra
     return rhs
 
 
+def design_matrix(directions, order: int) -> np.ndarray:
+    """Rows of direction monomials x^k y^l z^(r-k-l) over the component classes of one order."""
+    k, l = np.array(component_classes(order)).T
+    # Python powers, multiplied x, y, z into a row-major array: the bits of a
+    # row-by-row build, on which derive_third_order_fallback's reproduction
+    # of the frozen tomography._FALLBACK_AXES depends
+    powers = np.array([[[c**e for e in range(order + 1)] for c in (d.x, d.y, d.z)] for d in map(as_direction, directions)])
+    return np.ascontiguousarray(powers[:, 0, k] * powers[:, 1, l] * powers[:, 2, order - k - l])
+
+
+def casimir_constraint_matrix(order: int) -> np.ndarray:
+    """Coefficient rows coupling the components of one order through the
+    squared-total identity; the right-hand sides depend on lower-order data."""
+    if order < 2:
+        return np.zeros((0, moment_component_count(order)))
+    classes = component_classes(order)
+    lower = component_classes(order - 2)
+    rows = np.zeros((len(lower), len(classes)))
+    for i, (k, l) in enumerate(lower):
+        for kk, ll in ((k + 2, l), (k, l + 2), (k, l)):
+            rows[i, classes.index((kk, ll))] += 1.0 / trinomial(kk, ll, order)
+    return rows
+
+
+def constraint_nullspace(order: int) -> np.ndarray:
+    """Orthonormal basis of component space consistent with the constraints."""
+    b = casimir_constraint_matrix(order)
+    if b.shape[0] == 0:
+        return np.eye(moment_component_count(order))
+    _, sv, vt = np.linalg.svd(b)
+    if sv.min() < 1e-10:
+        raise StokesLabError("order-coupling constraints are unexpectedly degenerate")
+    return vt[b.shape[0] :].T
+
+
+class DesignSVD(NamedTuple):
+    """Thin SVD of a per-order design, read by the rank rule."""
+
+    u: np.ndarray
+    sv: np.ndarray
+    vt: np.ndarray
+    rank: int  # singular values above RANK_TOL times the largest
+    condition_number: float  # largest over smallest singular value
+
+
+def _design_svd(reduced: np.ndarray) -> DesignSVD:
+    """The one route from a design to its rank and conditioning."""
+    u, sv, vt = np.linalg.svd(reduced, full_matrices=False)
+    with np.errstate(divide="ignore"):
+        condition = sv[0] / sv[-1]
+    return DesignSVD(u, sv, vt, int((sv > sv[0] * RANK_TOL).sum()), float(condition))
+
+
+def reduced_design(directions, order: int) -> tuple[np.ndarray, np.ndarray, DesignSVD]:
+    """Design of a direction set, the constraint null space, and the SVD of
+    their product, the design restricted to the free component subspace."""
+    a = design_matrix(directions, order)
+    null = constraint_nullspace(order)
+    return a, null, _design_svd(a @ null)
+
+
+def reduced_design_singular_values(directions, order: int) -> np.ndarray:
+    """Singular values of the design restricted to the free component subspace."""
+    return reduced_design(directions, order)[2].sv
+
+
 @dataclass(frozen=True)
 class SolveDiagnostics:
     condition_number: float
@@ -196,13 +261,13 @@ def _checked_design(directions, order: int) -> tuple[np.ndarray, np.ndarray, Des
     combinations, in moment-component coordinates."""
     n_free = independent_moment_count(order)
     a, null, svd = reduced_design(directions, order)
-    rank = int(svd.rank)
+    rank = svd.rank
     if rank < n_free:
         raise RankDeficientError(
             f"order-{order} design resolves only {rank} of {n_free} component combinations",
             rank=rank,
             expected=n_free,
-            condition_number=float(svd.condition_number),
+            condition_number=svd.condition_number,
             deficient_directions=(null @ svd.vt[rank:].T).T,
         )
     return a, null, svd
@@ -247,7 +312,7 @@ def solve_moment_components(
     components = MomentComponents(
         order, n_photons, dict(zip(component_classes(order), x))
     )
-    return components, SolveDiagnostics(float(svd.condition_number), residual, int(svd.rank))
+    return components, SolveDiagnostics(svd.condition_number, residual, svd.rank)
 
 
 def assemble_tensor_order2(components: MomentComponents, first_order: PolarizationTensor) -> PolarizationTensor:

@@ -7,25 +7,26 @@ law p_N(d) over the eigenvalues N-2k, exact or counted.  Each entry
 p_k(d) = Tr(rho_N Pi_k(d)) is linear in rho_N, so run_tomography recovers
 each manifold by one least-squares solve with one row per outcome
 projector of all its directions, followed by a physicality projection.
-Order r has one direction set of 2r+1 lines (choose_directions), and each
-unique direction is rotated once per run; the solve rows read those bases.
+Order r has one direction set of 2r+1 lines (choose_directions): named sets
+up to order 3, a golden-angle spiral over the upper hemisphere above; each
+unique direction is rotated once per run, and the solve rows read those bases.
 Shot mode samples the joint law of the whole state along each direction
 (outcome_distribution) and splits the counts by manifold; exact mode
 computes only the laws of the manifolds it solves, from the same bases.
 The paper's order-by-order route, a Casimir-constrained inversion per
 order, tensor assembly and inversion of the complete tensor set, lives in
-reference.py as the reference this module is checked against, next to the
-sample moments of one direction; the names solve_moment_components,
-assemble_all_tensors, reconstruct_density, estimate_moments and
-distribution_moment stay importable from here.
+reference.py with its per-order design, as the reference this module is
+checked against, next to the sample moments of one direction.  The names
+solve_moment_components, assemble_all_tensors, reconstruct_density,
+estimate_moments, distribution_moment, design_matrix,
+casimir_constraint_matrix, constraint_nullspace and
+reduced_design_singular_values stay importable from here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,19 +34,14 @@ from .errors import (
     NoManifoldReconstructedError,
     NonPhysicalStateError,
     RankDeficientError,
-    StokesLabError,
 )
 from .fock import Direction, as_direction, rotated_fock_bases
 from .moments import (
     DEFAULT_ORDER_CAP,
     MAX_TENSOR_ORDER,
     MomentComponents,
-    component_classes,
-    independent_moment_count,
     matrix_tensor,
-    moment_component_count,
     moment_components,
-    trinomial,
 )
 from .states import BlockDiagonalState, ManifoldState, as_block_diagonal, check_finite
 
@@ -53,8 +49,6 @@ RANK_TOL = 1e-12
 PHILOX_KEY_BOUND = 1 << 128
 SAMPLE_CHUNK = 1 << 20  # uniforms drawn per pass; bounds sampling memory
 MIN_COUNTS = 10  # samples a manifold needs across settings to be solved
-GENERIC_SEED = 2023
-GENERIC_CANDIDATES = 200
 SUPPORT_TOL = 1e-9  # slack on inferred photon-number probabilities
 
 
@@ -239,99 +233,22 @@ def third_order_fallback_directions() -> DirectionSet:
     return DirectionSet("conditioned-seven", 3, dirs, tags=("conditioned fallback",))
 
 
-def design_matrix(directions, order: int) -> np.ndarray:
-    """Rows of direction monomials x^k y^l z^(r-k-l) over the component classes of one order."""
-    k, l = np.array(component_classes(order)).T
-    # Python powers, multiplied x, y, z into a row-major array: the bits of a
-    # row-by-row build, on which the pinned searched sets depend
-    powers = np.array([[[c**e for e in range(order + 1)] for c in (d.x, d.y, d.z)] for d in map(as_direction, directions)])
-    return np.ascontiguousarray(powers[:, 0, k] * powers[:, 1, l] * powers[:, 2, order - k - l])
+def spiral_directions(order: int) -> DirectionSet:
+    """2r+1 lines on a golden-angle spiral over the upper hemisphere.
 
-
-def casimir_constraint_matrix(order: int) -> np.ndarray:
-    """Coefficient rows coupling the components of one order through the
-    squared-total identity; the right-hand sides depend on lower-order data."""
-    if order < 2:
-        return np.zeros((0, moment_component_count(order)))
-    classes = component_classes(order)
-    lower = component_classes(order - 2)
-    rows = np.zeros((len(lower), len(classes)))
-    for i, (k, l) in enumerate(lower):
-        for kk, ll in ((k + 2, l), (k, l + 2), (k, l)):
-            rows[i, classes.index((kk, ll))] += 1.0 / trinomial(kk, ll, order)
-    return rows
-
-
-def constraint_nullspace(order: int) -> np.ndarray:
-    """Orthonormal basis of component space consistent with the constraints."""
-    b = casimir_constraint_matrix(order)
-    if b.shape[0] == 0:
-        return np.eye(moment_component_count(order))
-    _, sv, vt = np.linalg.svd(b)
-    if sv.min() < 1e-10:
-        raise StokesLabError("order-coupling constraints are unexpectedly degenerate")
-    return vt[b.shape[0] :].T
-
-
-class DesignSVD(NamedTuple):
-    """Thin SVD of a design, or of a stack of them, read by the rank rule."""
-
-    u: np.ndarray
-    sv: np.ndarray
-    vt: np.ndarray
-    rank: np.ndarray  # singular values above RANK_TOL times the largest
-    condition_number: np.ndarray  # largest over smallest singular value
-
-
-def _design_svd(reduced: np.ndarray) -> DesignSVD:
-    """The one route from designs to their rank and conditioning."""
-    u, sv, vt = np.linalg.svd(reduced, full_matrices=False)
-    with np.errstate(divide="ignore"):
-        condition = sv[..., 0] / sv[..., -1]
-    return DesignSVD(u, sv, vt, (sv > sv[..., :1] * RANK_TOL).sum(axis=-1), condition)
-
-
-def reduced_design(directions, order: int) -> tuple[np.ndarray, np.ndarray, DesignSVD]:
-    """Design of a direction set, the constraint null space, and the SVD of
-    their product, the design restricted to the free component subspace."""
-    a = design_matrix(directions, order)
-    null = constraint_nullspace(order)
-    return a, null, _design_svd(a @ null)
-
-
-def reduced_design_singular_values(directions, order: int) -> np.ndarray:
-    """Singular values of the design restricted to the free component subspace."""
-    return reduced_design(directions, order)[2].sv
-
-
-@cache
-def generic_directions(order: int) -> DirectionSet:
-    """A 2r+1 direction set chosen by condition-number search.
-
-    Draws a seeded pool of candidate lines, then 200 seeded subsets of
-    2r+1 of them, and keeps the first subset whose reduced design has the
-    smallest condition number.  The pool's reduced design is built once and
-    all subsets are scored by one batched SVD.  The set depends on order
-    alone, so the search runs once per order per process; later calls
-    return the same frozen DirectionSet.  Not taken from any published
-    construction; provided as an extension for orders without a named set
-    and tagged as such.
+    Line i = 0..2r has height z = 1 - (i + 1/2)/(2r + 1) and azimuth
+    (i + r) pi (3 - sqrt 5), the golden angle per step (Swinbank and Purser,
+    Q. J. R. Meteorol. Soc. 132, 2006).  A line and its opposite give the
+    same projectors in reverse order, so the hemisphere covers every line.
+    The offset r turns the spiral of each order against the others, which
+    keeps the stacked fit of orders 1..N well conditioned.
     """
-    n_free = independent_moment_count(order)
-    gen = np.random.Generator(np.random.Philox(key=GENERIC_SEED + order))
-    pool = gen.normal(size=(GENERIC_CANDIDATES, 3))
-    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
-    lines = [Direction.from_vector(v, normalize=True) for v in pool]
-    reduced = design_matrix(lines, order) @ constraint_nullspace(order)
-    picks = np.array([gen.choice(GENERIC_CANDIDATES, size=n_free, replace=False) for _ in range(200)])
-    svd = _design_svd(reduced[picks])
-    best = picks[int(np.argmin(np.where(svd.rank == n_free, svd.condition_number, math.inf)))]
-    return DirectionSet(
-        f"generic-{order}",
-        order,
-        tuple(lines[i] for i in best),
-        tags=("condition-number search", "extension"),
+    m = 2 * order + 1
+    dirs = tuple(
+        Direction.from_spherical(math.acos(1.0 - (i + 0.5) / m), (i + order) * math.pi * (3.0 - math.sqrt(5.0)))
+        for i in range(m)
     )
+    return DirectionSet(f"spiral-{order}", order, dirs, tags=("golden-angle spiral",))
 
 
 def choose_directions(order: int) -> DirectionSet:
@@ -339,8 +256,7 @@ def choose_directions(order: int) -> DirectionSet:
 
     The named sets serve orders 1..3: at order 3 the conditioned fallback,
     since the symmetric seven lines resolve only four of the seven free
-    components.  Higher orders take the generic search, which runs once
-    per order per process (generic_directions).
+    components.  Higher orders take the closed-form spiral_directions.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -350,7 +266,7 @@ def choose_directions(order: int) -> DirectionSet:
         return icosahedral_directions()
     if order == 3:
         return third_order_fallback_directions()
-    return generic_directions(order)
+    return spiral_directions(order)
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +396,15 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases):
     # unit-norm rows, so the relative cut RANK_TOL of the design rank rule applies
     x, _, rank, sv = np.linalg.lstsq(a, b, rcond=RANK_TOL)
     if rank < dim * dim:
-        svd = _design_svd(a)
+        _, sv, vt = np.linalg.svd(a, full_matrices=False)
+        with np.errstate(divide="ignore"):
+            condition = sv[0] / sv[-1]  # inf when a singular value is exactly zero
         raise RankDeficientError(
             f"outcome laws span only {rank} of {dim * dim} dimensions on manifold {n_photons}",
             rank=int(rank),
             expected=dim * dim,
-            condition_number=float(svd.condition_number),
-            deficient_directions=svd.vt[rank:].conj(),
+            condition_number=float(condition),
+            deficient_directions=vt[rank:].conj(),
         )
     misfit, row_orders = a @ x - b, np.array(row_orders)
     residuals = {r: float(np.linalg.norm(misfit[row_orders == r])) for r in measured}
@@ -529,15 +447,14 @@ def run_tomography(
     (_solve_manifold), which reports its condition number and per-order
     misfit; the paper's order-by-order route with its per-order design
     (reference.py) is the reference it is checked against and never runs
-    here.  The generic direction search of each order from four up runs
-    once per process, so only the first call pays it.  Manifolds beyond
-    the order cap (default 6) are skipped with a reason, as are manifolds
-    whose records hold fewer than MIN_COUNTS samples.  If
-    that leaves nothing to reconstruct, NoManifoldReconstructedError
-    carries the reasons.  The report holds dense 3^r tensors, so a
-    manifold above MAX_TENSOR_ORDER within the cap raises ValueError
-    before anything is measured, as do arguments of the wrong type or
-    range.  The stacked fit of a solved manifold must resolve all of rho,
+    here.  Every direction set is closed-form, so nothing is searched or
+    cached and each call does the same work.  Manifolds beyond the order
+    cap (default 6) are skipped with a reason, as are manifolds whose
+    records hold fewer than MIN_COUNTS samples.  If that leaves nothing to
+    reconstruct, NoManifoldReconstructedError carries the reasons.  The
+    report holds dense 3^r tensors, so a manifold above MAX_TENSOR_ORDER
+    within the cap raises ValueError before anything is measured, as do
+    arguments of the wrong type or range.  The stacked fit of a solved manifold must resolve all of rho,
     or RankDeficientError says which directions of vec(rho) it leaves open.
     """
     # type(x) is int: bool is a subclass of int, but True is no shot count
@@ -682,11 +599,16 @@ def averaged_second_order_components(measured, s0_mean: float, s0_sq_mean: float
     return closed_form_second_order(measured, n_photons=None, casimir=s0_sq_mean + 2.0 * s0_mean)
 
 
-# The paper's order-by-order route and sample moments, re-exported for callers of this module.
+# The paper's order-by-order route, its per-order design and sample moments,
+# re-exported for callers of this module.
 from .reference import (  # noqa: E402
     assemble_all_tensors,
+    casimir_constraint_matrix,
+    constraint_nullspace,
+    design_matrix,
     distribution_moment,
     estimate_moments,
     reconstruct_density,
+    reduced_design_singular_values,
     solve_moment_components,
 )

@@ -246,6 +246,7 @@ def test_exact_tomography_bytes_do_not_depend_on_earlier_calls(capsys):
     assert outs[0] == outs[1] == fresh.stdout
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tomography_lines_all_along_z_fail_with_rank_report(capsys, monkeypatch):
     # +z lines see only the diagonal of rho: 3 of the 9 dimensions at N = 2
     monkeypatch.setattr(

@@ -1,8 +1,13 @@
 import hashlib
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +45,6 @@ from stokes_lab.tomography import (
     closed_form_second_order,
     distribution_moment,
     estimate_moments,
-    generic_directions,
     icosahedral_directions,
     non_resolved_manifold_moments,
     outcome_distribution,
@@ -324,50 +328,33 @@ class TestDirectionSets:
         assert cond < 100.0
 
     def test_generic_set_full_rank(self):
-        for order in (4, 5, 11, 12):
-            dset = generic_directions(order)
+        # the paper's route solves each order from its own lines alone
+        for order in range(4, 15):
+            dset = choose_directions(order)
             assert len(dset.directions) == 2 * order + 1
             sv = reduced_design_singular_values(dset.directions, order)
             assert int((sv > sv[0] * 1e-12).sum()) == 2 * order + 1
-            assert "extension" in dset.tags
 
-    # sha256 of each searched set's packed float64 (x, y, z) rows; a change here
+    # sha256 of each spiral set's packed float64 (x, y, z) rows; a change here
     # changes every exact and finite-shot result above order three
     GENERIC_SET_SHA256 = {
-        4: "bd1b17308b7eedf6ceb42a16ddacf1addb857320d8f39fbe96c824ae4329cc9e",
-        5: "746488ba9980c60d430baed9bacd43d19385d4593b61a888ace5e4bce1e9761e",
-        6: "94237be01753f27294e0fc0a9017e849e5fa9da936c89cbc0a0b8e2806f56e91",
-        7: "bd7856717d084d352e084cd5d151223b3799c5ef0a65246fb4700d29211bffc0",
-        8: "ec95422ec7328c477083b516fdbc7439e3cfad1daf28a258cddc67c659f88b3a",
-        9: "be761ea39dff099e9d1070bce500810cc10faf31eddf735960a5b41daebae46d",
-        10: "8744d58fa1af7f06d70d023263cbf37b1ad525764dadb6093cde762f1126f93e",
-        11: "c16bd3b64046b06f30ea03528aa34a45509fb6929da3bd03eefea7ac2e9ae9eb",
-        12: "89cd9e880e48cb3fee469135c088400ddf13a1cb1ec55300db496b9d3d1068c1",
-        13: "47bb6430043d02513d02998b9216401c81ab4e56e93014478e6ce426710c0bda",
-        14: "646407cd002b502b9e3efda601aaaad0967d46fc6b6a87bbeda3330c41b00a7d",
+        4: "f10eb8e52e975c24a1059623299b25261fb8ec3fa87bd47562265327014cd9b7",
+        5: "64ca4d1d9a128bb374bc278c30636447101e361c1615bd1018c03edb8363a9cf",
+        6: "1f001cef4604b47a9c431288c88fbf80cbb536a96b905d124cdec806e3d58b0e",
+        7: "c6ad2e413db89f5ebbe2e630f8ebc01fac42782fbffdd464135612febbc59976",
+        8: "1e418ff6bb15e8919050aee02244df98eed2f9f5490cf4ac13ceaf2ccc2b5ff8",
+        9: "b22d388562d22c31f0e62574146ab1d6bd2c675017250806a074331137013fcf",
+        10: "8b32b8f3cd12e801be601f8c4d3b898b180feb95ec09388c384edd2f5c82fd83",
+        11: "767647fcd382398001aa54898d3f8438d18bfa074279836c11b1ac199f2d8736",
+        12: "4fe38e765ac6ed93e5c78b224cd5afb43a759410105cdeaf582a27def4cc044c",
+        13: "c2c8a1d15dc5935dd1829f5f64e0df76da19657d4b2b7c2ddd5f836df7f12eae",
+        14: "16d85cb77b27b15d48d5183006fcf7ef09f92612bcff352ac79b710e8371db6c",
     }
 
     @pytest.mark.parametrize("order", sorted(GENERIC_SET_SHA256))
     def test_generic_set_is_pinned(self, order):
-        rows = np.array([d.as_array() for d in generic_directions(order).directions], dtype="<f8")
+        rows = np.array([d.as_array() for d in choose_directions(order).directions], dtype="<f8")
         assert hashlib.sha256(rows.tobytes()).hexdigest() == self.GENERIC_SET_SHA256[order]
-
-    def test_generic_search_runs_once_per_order_per_process(self, monkeypatch, rng):
-        assert generic_directions(5) is generic_directions(5)
-        state = ManifoldState.mixed(6, random_density(6, rng))
-        first = run_tomography(state)
-        searched = []
-        svd = tomography._design_svd
-
-        def counting_svd(reduced):
-            # the search scores a stack of candidate designs; a fit of full rank takes no SVD
-            searched.append(reduced.shape)
-            return svd(reduced)
-
-        monkeypatch.setattr(tomography, "_design_svd", counting_svd)
-        second = run_tomography(state)
-        assert searched == []
-        np.testing.assert_array_equal(second.manifolds[6].state.density(), first.manifolds[6].state.density())
 
     def test_choose_dispatch(self):
         assert choose_directions(1).label == "coordinate-axes"
@@ -464,7 +451,7 @@ class TestSolver:
 
     def test_generic_fourth_order(self, rng):
         state = ManifoldState.mixed(4, random_density(4, rng))
-        dirs = generic_directions(4).directions
+        dirs = choose_directions(4).directions
         measured = [stokes_profile(state, 4, d) for d in dirs]
         lower = {r: polarization_tensor(state, r) for r in (1, 2, 3)}
         comp, _ = solve_moment_components(dirs, measured, 4, 4, lower_tensors=lower)
@@ -564,6 +551,7 @@ class TestPipeline:
         assert rec.reconstruction.condition_number < 10.0
         assert trace_distance(rec.state.density(), state.density()) <= 1e-7
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("shots", [None, 2000], ids=["exact", "shots"])
     def test_lines_all_along_z_raise_from_the_stacked_gate(self, monkeypatch, shots):
         # +z outcomes see only the diagonal of rho, 3 of the 9 dimensions at N = 2
@@ -579,15 +567,19 @@ class TestPipeline:
         np.testing.assert_allclose(deficient[:, [0, 4, 8]], 0.0, atol=1e-12)
         assert "rank 3" in str(info.value) and "condition number" in str(info.value)
 
+    @staticmethod
+    def stacked_rows(n):
+        """The trace row and vec(u_k u_k^dag) for each outcome of each direction of orders 1..n."""
+        rows = [np.eye(n + 1).reshape(1, -1)]
+        for r in range(1, n + 1):
+            for d in choose_directions(r).directions:
+                u = rotated_fock_bases(d, n)[n]
+                rows += [np.outer(u[:, k], u[:, k].conj()).reshape(1, -1) for k in range(n + 1)]
+        return np.concatenate(rows)
+
     def test_condition_number_is_that_of_the_fit_that_runs(self, rng):
         for n in range(1, 9):
-            # the trace row and vec(u_k u_k^dag) for each outcome of each direction of orders 1..n
-            rows = [np.eye(n + 1).reshape(1, -1)]
-            for r in range(1, n + 1):
-                for d in choose_directions(r).directions:
-                    u = rotated_fock_bases(d, n)[n]
-                    rows += [np.outer(u[:, k], u[:, k].conj()).reshape(1, -1) for k in range(n + 1)]
-            want = np.linalg.cond(np.concatenate(rows))
+            want = np.linalg.cond(self.stacked_rows(n))
             state = ManifoldState.mixed(n, random_density(n, rng))
             exact = run_tomography(state, max_order=n).manifolds[n].reconstruction
             counted = run_tomography(state, shots=2000, seed=1, max_order=n).manifolds[n].reconstruction
@@ -596,17 +588,37 @@ class TestPipeline:
             assert exact.condition_number < 10.0
             assert exact.system_rank == counted.system_rank == (n + 1) ** 2
 
-    def test_warm_run_builds_no_per_order_design(self, monkeypatch, rng):
-        state = ManifoldState.mixed(6, random_density(6, rng))
-        run_tomography(state)  # the first call of a process may search the generic sets
+    @pytest.mark.parametrize("n", range(1, MAX_TENSOR_ORDER + 1))
+    def test_stacked_fit_is_conditioned(self, n):
+        assert np.linalg.cond(self.stacked_rows(n)) < 10.0
 
-        def per_order_design(*args, **kwargs):
-            raise AssertionError("run_tomography built the per-order design of the paper's route")
+    def test_first_run_builds_no_per_order_design(self):
+        # a fresh interpreter, so no earlier call can have built or cached a design
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from stokes_lab import reference, tomography
+            from stokes_lab.states import ManifoldState
 
-        for name in ("reduced_design", "constraint_nullspace", "design_matrix"):
-            monkeypatch.setattr(tomography, name, per_order_design)
-        assert 6 in run_tomography(state).manifolds
-        assert 6 in run_tomography(state, shots=5000, seed=2).manifolds
+            def per_order_design(*args, **kwargs):
+                raise AssertionError("run_tomography built the per-order design of the paper's route")
+
+            design = ("casimir_constraint_matrix", "constraint_nullspace", "design_matrix", "reduced_design_singular_values")
+            for module, names in ((tomography, design), (reference, design + ("DesignSVD", "_design_svd", "reduced_design"))):
+                for name in names:
+                    getattr(module, name)
+                    setattr(module, name, per_order_design)
+            a, b = np.random.default_rng(6).normal(size=(2, 7, 7))
+            rho = (a + 1j * b) @ (a + 1j * b).conj().T
+            state = ManifoldState.mixed(6, rho / np.trace(rho))
+            assert 6 in tomography.run_tomography(state).manifolds
+            assert 6 in tomography.run_tomography(state, shots=5000, seed=2).manifolds
+            """
+        )
+        src = str(Path(tomography.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
 
     def test_max_order_caps_reconstruction_inputs(self, rng):
         state = ManifoldState.mixed(1, random_density(1, rng))
@@ -630,7 +642,7 @@ class TestPipeline:
         assert "samples" in info.value.skipped[2]
 
     def test_exact_round_trip_through_generic_sets(self, rng):
-        # manifolds four to eight exercise the searched direction sets end to
+        # manifolds four to eight exercise the spiral direction sets end to
         # end; order-r outputs carry rounding noise that scales as N^r
         for n, max_order in ((4, None), (5, None), (6, None), (8, 8)):
             state = ManifoldState.mixed(n, random_density(n, rng))
