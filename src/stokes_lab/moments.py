@@ -173,7 +173,7 @@ def matrix_tensor(rho: np.ndarray, n_photons: int, order: int) -> PolarizationTe
     """Tr(rho S_i1 ... S_ir) for every index word of one rank.
 
     rho is any matrix on the manifold, not necessarily a physical state:
-    tomography reports the tensors of its raw linear-inversion estimate.
+    tomography takes the components of its linear-inversion estimate.
     Each word splits into a left half u and a right half w, so the whole
     tensor is one matrix product, Tr(rho P_u P_w) = sum_ab (rho P_u)_ab
     (P_w)_ba, between two stacks of about 3^(r/2) half-word products.

@@ -1,8 +1,7 @@
 """JSON wire formats.
 
-Complex matrices serialize as nested [re, im] pairs.  Tensor entries are
-flattened with the leftmost subscript slowest, matching the in-memory
-layout.  All writers sort keys so identical inputs give identical bytes.
+Complex matrices serialize as nested [re, im] pairs.  All writers sort
+keys so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import json
 
 import numpy as np
 
-from .moments import MomentComponents, PolarizationTensor, component_classes
+from .moments import MomentComponents, component_classes
 from .states import BlockDiagonalState, ManifoldState
 from .tomography import (
     ManifoldReconstruction,
@@ -112,16 +111,6 @@ def state_from_json(payload) -> BlockDiagonalState:
     return BlockDiagonalState(tuple(blocks), truncation_deficit=deficit)
 
 
-def tensor_to_json(tensor: PolarizationTensor) -> dict:
-    flat = tensor.values.reshape(-1)
-    return {
-        "order": tensor.order,
-        "N": tensor.n_photons,
-        "index_convention": "leftmost subscript slowest",
-        "entries": _complex_pairs(flat),
-    }
-
-
 def components_to_json(components: MomentComponents) -> dict:
     return {
         "order": components.order,
@@ -144,7 +133,8 @@ def record_to_json(record: MeasurementRecord) -> dict:
 
 
 def record_from_json(payload) -> MeasurementRecord:
-    """Read a record_to_json payload; a field of the wrong type raises ValueError."""
+    """Read a record_to_json payload; a field of the wrong type or a repeated
+    outcome raises ValueError."""
     setting = MeasurementSetting(
         Direction.from_vector(_field(payload, "direction", "record")),
         *(_number_field(payload, key, "record", int, "an integer") for key in ("shots", "seed")),
@@ -152,6 +142,8 @@ def record_from_json(payload) -> MeasurementRecord:
     counts = {}
     for i, entry in enumerate(_field(payload, "counts", "record")):
         n, s, c = (_number_field(entry, key, f"record count {i}", int, "an integer") for key in ("N", "s", "count"))
+        if (n, s) in counts:
+            raise ValueError(f"record count {i} repeats the outcome (N, s) = ({n}, {s})")
         counts[(n, s)] = c
     return MeasurementRecord(setting, counts)
 
@@ -162,7 +154,6 @@ def manifold_reconstruction_to_json(rec: ManifoldReconstruction) -> dict:
         "pN": rec.probability,
         "pN_error": rec.probability_error,
         "moment_components": {str(r): components_to_json(c) for r, c in rec.components.items()},
-        "tensors": {str(r): tensor_to_json(t) for r, t in rec.tensors.items()},
         "rho": _complex_pairs(rec.state.density()),
         "diagnostics": {
             "condition_number": rec.reconstruction.condition_number,

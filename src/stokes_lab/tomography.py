@@ -165,17 +165,16 @@ def simulate_measurement(state, setting: MeasurementSetting) -> MeasurementRecor
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """A labelled list of measurement lines with provenance tags."""
+    """A labelled list of measurement lines for one moment order."""
 
     label: str
     order: int
     directions: tuple
-    tags: tuple = ()
 
 
 def axes_directions() -> DirectionSet:
     dirs = tuple(Direction.from_vector(v) for v in np.eye(3))
-    return DirectionSet("coordinate-axes", 1, dirs, tags=("uniform lines",))
+    return DirectionSet("coordinate-axes", 1, dirs)
 
 
 def icosahedral_directions() -> DirectionSet:
@@ -190,7 +189,7 @@ def icosahedral_directions() -> DirectionSet:
         (golden, 0.0, 2.0),
     ]
     dirs = tuple(Direction(x / norm, y / norm, z / norm) for x, y, z in raw)
-    return DirectionSet("icosahedral-five", 2, dirs, tags=("max-min-angle lines",))
+    return DirectionSet("icosahedral-five", 2, dirs)
 
 
 def _diagonal_lines() -> tuple[Direction, ...]:
@@ -211,7 +210,7 @@ def third_order_symmetric_directions() -> DirectionSet:
     carries four independent measurements.
     """
     dirs = tuple(Direction.from_vector(v) for v in np.eye(3)) + _diagonal_lines()
-    return DirectionSet("symmetric-seven", 3, dirs, tags=("max-min-angle lines",))
+    return DirectionSet("symmetric-seven", 3, dirs)
 
 
 # Derived once by reference.derive_third_order_fallback() and frozen for bit-stable output.
@@ -230,7 +229,7 @@ def third_order_fallback_directions() -> DirectionSet:
     reference.derive_third_order_fallback).
     """
     dirs = tuple(Direction(*v) for v in _FALLBACK_AXES) + _diagonal_lines()
-    return DirectionSet("conditioned-seven", 3, dirs, tags=("conditioned fallback",))
+    return DirectionSet("conditioned-seven", 3, dirs)
 
 
 def spiral_directions(order: int) -> DirectionSet:
@@ -248,7 +247,7 @@ def spiral_directions(order: int) -> DirectionSet:
         Direction.from_spherical(math.acos(1.0 - (i + 0.5) / m), (i + order) * math.pi * (3.0 - math.sqrt(5.0)))
         for i in range(m)
     )
-    return DirectionSet(f"spiral-{order}", order, dirs, tags=("golden-angle spiral",))
+    return DirectionSet(f"spiral-{order}", order, dirs)
 
 
 def choose_directions(order: int) -> DirectionSet:
@@ -341,7 +340,6 @@ class ManifoldReconstruction:
     probability: float
     probability_error: float
     components: dict  # order -> MomentComponents
-    tensors: dict  # order -> PolarizationTensor
     state: ManifoldState
     residuals: dict  # order -> misfit of that order's outcome rows
     reconstruction: ReconstructionDiagnostics
@@ -376,12 +374,15 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases):
     p_k(d) = Tr(rho Pi_k(d)).  Each row has unit norm, and since
     sum_k Pi_k (x) Pi_k equals the sum over ranks r <= N of the orthonormal
     multipole rows t_r(d.S) (x) t_r(d.S), every direction informs every
-    rank, not only its own order.  Components and tensors are those of the
-    Hermitian part of the raw estimate; the state is its physicality
-    projection.  The diagnostics hold the rank and condition number of this
-    fit, from the singular values lstsq returns, and the misfit of each
-    order's outcome rows in probability units.  Rows that leave a direction
-    of vec(rho) unresolved raise RankDeficientError.
+    rank, not only its own order.  The moment components of each order are
+    summed from the dense tensor of the Hermitian part of the raw estimate,
+    as moments.averaged_components does; they determine every tensor
+    (reference.assemble_all_tensors), so no tensor is kept.  The state is
+    the physicality projection of that Hermitian part.  The diagnostics
+    hold the rank and condition number of this fit, from the singular
+    values lstsq returns, and the misfit of each order's outcome rows in
+    probability units.  Rows that leave a direction of vec(rho) unresolved
+    raise RankDeficientError.
     """
     dim = n_photons + 1
     rows, rhs, row_orders = [np.eye(dim, dtype=complex).reshape(1, -1)], [np.ones(1)], [0]
@@ -413,13 +414,11 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases):
     # order-r tensor and fails its consistency gate from N = 11 on
     hermitian = (raw + raw.conj().T) / 2.0
     projected, distance = project_to_physical(hermitian)
-    tensors = {r: matrix_tensor(hermitian, n_photons, r) for r in measured}
     return ManifoldReconstruction(
         n_photons,
         probability,
         probability_error,
-        {r: moment_components(t) for r, t in tensors.items()},
-        tensors,
+        {r: moment_components(matrix_tensor(hermitian, n_photons, r)) for r in measured},
         ManifoldState.mixed(n_photons, projected),
         residuals,
         ReconstructionDiagnostics(int(rank), float(sv[0] / sv[-1]), float(np.linalg.norm(misfit)), distance),
@@ -451,11 +450,14 @@ def run_tomography(
     cached and each call does the same work.  Manifolds beyond the order
     cap (default 6) are skipped with a reason, as are manifolds whose
     records hold fewer than MIN_COUNTS samples.  If that leaves nothing to
-    reconstruct, NoManifoldReconstructedError carries the reasons.  The
-    report holds dense 3^r tensors, so a manifold above MAX_TENSOR_ORDER
+    reconstruct, NoManifoldReconstructedError carries the reasons.  Each
+    solved manifold reports its state and its moment components of orders
+    one to N, which determine every polarization tensor; the components are
+    summed from dense 3^r tensors, so a manifold above MAX_TENSOR_ORDER
     within the cap raises ValueError before anything is measured, as do
-    arguments of the wrong type or range.  The stacked fit of a solved manifold must resolve all of rho,
-    or RankDeficientError says which directions of vec(rho) it leaves open.
+    arguments of the wrong type or range.  The stacked fit of a solved
+    manifold must resolve all of rho, or RankDeficientError says which
+    directions of vec(rho) it leaves open.
     """
     # type(x) is int: bool is a subclass of int, but True is no shot count
     if shots is not None and not (type(shots) is int and shots >= 1):

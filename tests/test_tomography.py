@@ -21,6 +21,7 @@ from stokes_lab.moments import (
     averaged_profile,
     component_classes,
     components_from_state,
+    moment_components,
     polarization_tensor,
     stokes_profile,
 )
@@ -623,7 +624,7 @@ class TestPipeline:
     def test_max_order_caps_reconstruction_inputs(self, rng):
         state = ManifoldState.mixed(1, random_density(1, rng))
         result = run_tomography(state, max_order=1)
-        assert list(result.manifolds[1].tensors) == [1]
+        assert list(result.manifolds[1].components) == [1]
 
     def test_deep_manifolds_skipped_with_reason(self, rng):
         blocks = (
@@ -643,15 +644,17 @@ class TestPipeline:
 
     def test_exact_round_trip_through_generic_sets(self, rng):
         # manifolds four to eight exercise the spiral direction sets end to
-        # end; order-r outputs carry rounding noise that scales as N^r
+        # end; order-r outputs carry rounding noise that scales as N^r.  The
+        # reported components alone rebuild every tensor of the state.
         for n, max_order in ((4, None), (5, None), (6, None), (8, 8)):
             state = ManifoldState.mixed(n, random_density(n, rng))
             rec = run_tomography(state, max_order=max_order).manifolds[n]
             assert trace_distance(rec.state.density(), state.density()) <= 1e-7
+            assembled = reference.assemble_all_tensors(rec.components, n)
             for r in range(1, n + 1):
                 tol = 1e-11 * n**r
                 np.testing.assert_allclose(
-                    rec.tensors[r].values, polarization_tensor(state, r).values, rtol=0, atol=tol
+                    assembled[r].values, polarization_tensor(state, r).values, rtol=0, atol=tol
                 )
                 np.testing.assert_allclose(
                     rec.components[r].as_vector(),
@@ -659,6 +662,16 @@ class TestPipeline:
                     rtol=0,
                     atol=tol,
                 )
+
+    def test_counted_components_rebuild_their_tensors(self):
+        # the tensors assembled from a counted run's components give back
+        # those components, so the report loses nothing by carrying only them
+        rec = run_tomography(su2_coherent(3, 0.8, 0.3), shots=100000, seed=3).manifolds[3]
+        assembled = reference.assemble_all_tensors(rec.components, 3)
+        for r, components in rec.components.items():
+            want = components.as_vector()
+            got = moment_components(assembled[r]).as_vector()
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_exact_round_trip_beyond_eight_photons(self, rng):
         # only the state is compared: from N = 9 the class sums of up to
@@ -947,11 +960,16 @@ def test_record_serialization_round_trip():
         ("count", 6.5, "record count 0 field 'count' must be an integer, got 6.5"),
         ("count", None, "record count 0 has no 'count' field"),
         ("direction", [10**400, 0, 0], "direction components must be finite: int too large to convert to float"),
+        (
+            "counts",
+            [{"N": 1, "s": 1, "count": 2}, {"N": 1, "s": 1, "count": 3}],
+            "record count 1 repeats the outcome (N, s) = (1, 1)",
+        ),
     ],
 )
 def test_record_from_json_rejects_wrong_types(field, value, message):
     payload = record_to_json(simulate_measurement(noon(2), MeasurementSetting(E1, 10, 3)))
-    target = payload if field in ("direction", "shots", "seed") else payload["counts"][0]
+    target = payload if field in ("direction", "shots", "seed", "counts") else payload["counts"][0]
     if value is None:
         del target[field]
     else:
