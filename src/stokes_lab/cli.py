@@ -33,6 +33,16 @@ def _reject_constant(name: str):
     raise ValueError(f"state file holds the non-finite number {name}")
 
 
+def _unique_keys(pairs) -> dict:
+    # json.load keeps the last of repeated keys unless told otherwise
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"state file repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _convert(kind, value, message: str):
     """kind(value), or ValueError(message) when value does not read as kind."""
     try:
@@ -45,7 +55,7 @@ def _parse_state_spec(spec: str):
     """A state spec is either a JSON file path or family:key=value,...; returns the block state."""
     if ":" not in spec or spec.endswith(".json"):
         with open(spec, "r", encoding="utf-8") as handle:
-            payload = json.load(handle, parse_constant=_reject_constant)
+            payload = json.load(handle, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
         return serialize.state_from_json(payload)
     family, _, raw = spec.partition(":")
     params = {}
@@ -54,7 +64,10 @@ def _parse_state_spec(spec: str):
             key, _, value = item.partition("=")
             if not _:
                 raise ValueError(f"malformed parameter {item!r} in state spec")
-            params[key.strip()] = value
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"parameter {key} appears twice in state spec")
+            params[key] = value
     return _build_family(family.strip(), params)[0]
 
 

@@ -163,50 +163,60 @@ def stokes_in_direction(n, n_photons: int) -> np.ndarray:
     return d.x * s1 + d.y * s2 + d.z * s3
 
 
-def rotated_fock_bases(n, n_max: int) -> list[np.ndarray]:
-    """Eigenbases of n . S on the manifolds 0..n_max, built without diagonalizing.
+def rotated_fock_bases(lines, n_max: int) -> list[np.ndarray]:
+    """Eigenbases of d . S along each line d, on the manifolds 0..n_max, built without diagonalizing.
 
-    Entry N is unitary; its column k is the Fock state |N-k, k> carried by
-    the rotation that takes the z-axis onto n, i.e. the eigenvector of
-    n . S with eigenvalue exactly N-2k.  The single-photon rotation has
-    columns (c, e^{i phi} s) and (-e^{-i phi} s, c) with c = sqrt((1+z)/2),
-    s = sqrt((1-z)/2) and e^{i phi} the phase of x+iy.  Along +-z every
-    basis is a signed permutation with exact zeros, so no spurious outcomes
-    appear there.
+    Entry N stacks one unitary per line, shape (len(lines), N+1, N+1); its
+    column k is the Fock state |N-k, k> carried by the rotation that takes
+    the z-axis onto d, i.e. the eigenvector of d . S with eigenvalue exactly
+    N-2k.  The single-photon rotation has columns (c, e^{i phi} s) and
+    (-e^{-i phi} s, c) with c = sqrt((1+z)/2), s = sqrt((1-z)/2) and
+    e^{i phi} the phase of x+iy.  Along +-z every basis is a signed
+    permutation with exact zeros, so no spurious outcomes appear there.  All
+    lines go through one multiphoton_actions call, and a line's basis does
+    not depend on the other lines of the batch; pass a one-tuple for one line.
     """
-    d = as_direction(n)
     n_max = check_manifold(n_max)
-    c = math.sqrt(max(0.0, (1.0 + d.z) / 2.0))
-    s = math.sqrt(max(0.0, (1.0 - d.z) / 2.0))
-    rho = math.hypot(d.x, d.y)
-    phase = complex(d.x, d.y) / rho if rho > 0.0 else 1.0
-    return multiphoton_actions(c, phase * s, -phase.conjugate() * s, c, n_max)
+    coefficients = []
+    for line in lines:
+        d = as_direction(line)
+        c = math.sqrt(max(0.0, (1.0 + d.z) / 2.0))
+        s = math.sqrt(max(0.0, (1.0 - d.z) / 2.0))
+        rho = math.hypot(d.x, d.y)
+        phase = complex(d.x, d.y) / rho if rho > 0.0 else 1.0
+        coefficients.append((c, phase * s, -phase.conjugate() * s, c))
+    hh, vh, hv, vv = np.array(coefficients, dtype=complex).reshape(-1, 4).T
+    return multiphoton_actions(hh, vh, hv, vv, n_max)
 
 
 def multiphoton_actions(hh, vh, hv, vv, n_max: int) -> list[np.ndarray]:
     """Matrices of a single-photon map on the manifolds 0..n_max.
 
     The map sends |H> to hh|H> + vh|V> and |V> to hv|H> + vv|V>; entry N
-    is its action on the N-photon manifold in the |N-k, k> basis.
+    is its action on the N-photon manifold in the |N-k, k> basis.  Scalar
+    coefficients give entries of shape (N+1, N+1); coefficients with a
+    leading axis of length M give M maps at once, entries (M, N+1, N+1).
     Manifold N follows from N-1 by splitting one photon off both the row
     and the column Fock state.  For a unitary map each step is a
     contraction, so rounding errors add up instead of growing from level
     to level.
     """
+    hh, vh, hv, vv = (np.asarray(coef, dtype=complex)[..., None, None] for coef in (hh, vh, hv, vv))
+    lead = np.broadcast_shapes(hh.shape, vh.shape, hv.shape, vv.shape)[:-2]
     roots = np.sqrt(np.arange(n_max + 1, dtype=float))
-    levels = [np.ones((1, 1), dtype=complex)]
+    levels = [np.ones(lead + (1, 1), dtype=complex)]
     for n_photons in range(1, n_max + 1):
         # |N-k,k> = sqrt((N-k)/N) |H>|N-1-k,k> + sqrt(k/N) |V>|N-k,k-1>:
         # split the column state first, then the row state
         h = roots[n_photons::-1]
         v = roots[: n_photons + 1]
-        padded = np.zeros((n_photons, n_photons + 2), dtype=complex)
-        padded[:, 1:-1] = levels[-1]
-        from_h = padded[:, 1:] * h
-        from_v = padded[:, :-1] * v
-        level = np.zeros((n_photons + 1, n_photons + 1), dtype=complex)
-        level[:-1] = h[:-1, None] * (hh * from_h + hv * from_v)
-        level[1:] += v[1:, None] * (vh * from_h + vv * from_v)
+        padded = np.zeros(lead + (n_photons, n_photons + 2), dtype=complex)
+        padded[..., 1:-1] = levels[-1]
+        from_h = padded[..., 1:] * h
+        from_v = padded[..., :-1] * v
+        level = np.zeros(lead + (n_photons + 1, n_photons + 1), dtype=complex)
+        level[..., :-1, :] = h[:-1, None] * (hh * from_h + hv * from_v)
+        level[..., 1:, :] += v[1:, None] * (vh * from_h + vv * from_v)
         levels.append(level / n_photons)
     return levels
 

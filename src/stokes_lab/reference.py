@@ -211,7 +211,9 @@ def constraint_nullspace(order: int) -> np.ndarray:
     b = casimir_constraint_matrix(order)
     if b.shape[0] == 0:
         return np.eye(moment_component_count(order))
-    _, sv, vt = np.linalg.svd(b)
+    # unit-norm rows: from order 25 on the trinomial weights of a row span
+    # so many decades that the unscaled rows look degenerate
+    _, sv, vt = np.linalg.svd(b / np.linalg.norm(b, axis=1, keepdims=True))
     if sv.min() < 1e-10:
         raise StokesLabError("order-coupling constraints are unexpectedly degenerate")
     return vt[b.shape[0] :].T

@@ -9,10 +9,12 @@ each manifold by one least-squares solve with one row per outcome
 projector of all its directions, followed by a physicality projection.
 Order r has one direction set of 2r+1 lines (choose_directions): named sets
 up to order 3, a golden-angle spiral over the upper hemisphere above; each
-unique direction is rotated once per run, and the solve rows read those bases.
-Shot mode samples the joint law of the whole state along each direction
+unique direction is rotated once per run, all in one array pass, and the
+solve rows read those bases stacked over each manifold's lines.  Shot mode
+samples the joint law of the whole state along each direction
 (outcome_distribution) and splits the counts by manifold; exact mode
-computes only the laws of the manifolds it solves, from the same bases.
+computes only the laws of the manifolds it solves, from the same bases, all
+lines of a manifold in one product.
 The paper's order-by-order route, a Casimir-constrained inversion per
 order, tensor assembly and inversion of the complete tensor set, lives in
 reference.py with its per-order design, as the reference this module is
@@ -101,10 +103,10 @@ def outcome_distribution(state, n) -> dict:
     block are the diagonal of U^dag rho U, taken in one contraction.
     """
     block = as_block_diagonal(state)
-    bases = rotated_fock_bases(n, max(block.manifolds))
+    bases = rotated_fock_bases((n,), max(block.manifolds))
     dist: dict[tuple[int, int], float] = {}
     for n_photons, p, ms in block.blocks:
-        probs = _outcome_probabilities(ms.density(), bases[n_photons])
+        probs = _outcome_probabilities(ms.density(), bases[n_photons][0])
         # keys in ascending eigenvalue order, k = N..0
         for k in range(n_photons, -1, -1):
             dist[(n_photons, n_photons - 2 * k)] = p * float(probs[k])
@@ -115,8 +117,9 @@ def outcome_distribution(state, n) -> dict:
 def _outcome_probabilities(density: np.ndarray, u: np.ndarray) -> np.ndarray:
     """clip(diag(U^dag rho U)): the outcome probabilities of one manifold
     along the direction whose rotated Fock basis is u, entry k the
-    eigenvalue N-2k."""
-    return np.clip(((density @ u) * u.conj()).sum(axis=0).real, 0.0, None)
+    eigenvalue N-2k.  A stack of bases, shape (M, N+1, N+1), gives the M
+    laws at once, shape (M, N+1)."""
+    return np.clip(((density @ u) * u.conj()).sum(axis=-2).real, 0.0, None)
 
 
 def _split_by_manifold(tally: dict) -> dict:
@@ -367,10 +370,11 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases):
     """Reconstruct one manifold from the outcome laws of all its directions.
 
     measured maps each order r to (direction, law) pairs, law being the
-    conditional outcome law p_N(d).  The rows of the least-squares system
-    are the trace and, per pair, the N+1 outcome projectors
-    vec(Pi_k(d)) = vec(u_k u_k^dag), with u_k the columns of the rotated
-    Fock basis of d; the right-hand side is the law itself,
+    conditional outcome law p_N(d); bases stacks the rotated Fock bases of
+    manifold N along those directions, in the same order.  The rows of the
+    least-squares system are the trace and, per pair, the N+1 outcome
+    projectors vec(Pi_k(d)) = vec(u_k u_k^dag), with u_k the columns of the
+    basis of d, all built in one product; the right-hand side is the law itself,
     p_k(d) = Tr(rho Pi_k(d)).  Each row has unit norm, and since
     sum_k Pi_k (x) Pi_k equals the sum over ranks r <= N of the orthonormal
     multipole rows t_r(d.S) (x) t_r(d.S), every direction informs every
@@ -385,15 +389,12 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases):
     raise RankDeficientError.
     """
     dim = n_photons + 1
-    rows, rhs, row_orders = [np.eye(dim, dtype=complex).reshape(1, -1)], [np.ones(1)], [0]
-    for r, pairs in measured.items():
-        for d, law in pairs:
-            u = bases[d][n_photons]
-            # row k is vec(Pi_k^T) = vec(conj(u_k) u_k^T): row . vec(rho) = Tr(rho Pi_k)
-            rows.append(np.einsum("ik,jk->kij", u.conj(), u).reshape(dim, -1))
-            rhs.append(law)
-            row_orders += [r] * dim
-    a, b = np.concatenate(rows), np.concatenate(rhs)
+    # row k of line m is vec(Pi_k^T) = vec(conj(u_k) u_k^T): row . vec(rho) = Tr(rho Pi_k)
+    rows = np.einsum("mik,mjk->mkij", bases.conj(), bases).reshape(-1, dim * dim)
+    # Fortran order, which lstsq copies to anyway; the layout picks the BLAS
+    # route of a @ x and so the last digits of the residuals
+    a = np.asfortranarray(np.concatenate([np.eye(dim, dtype=complex).reshape(1, -1), rows]))
+    b = np.concatenate([np.ones(1)] + [law for pairs in measured.values() for _, law in pairs])
     # unit-norm rows, so the relative cut RANK_TOL of the design rank rule applies
     x, _, rank, sv = np.linalg.lstsq(a, b, rcond=RANK_TOL)
     if rank < dim * dim:
@@ -407,8 +408,11 @@ def _solve_manifold(n_photons, probability, probability_error, measured, bases):
             condition_number=float(condition),
             deficient_directions=vt[rank:].conj(),
         )
-    misfit, row_orders = a @ x - b, np.array(row_orders)
-    residuals = {r: float(np.linalg.norm(misfit[row_orders == r])) for r in measured}
+    misfit, residuals, start = a @ x - b, {}, 1
+    for r, pairs in measured.items():
+        stop = start + dim * len(pairs)
+        residuals[r] = float(np.linalg.norm(misfit[start:stop]))
+        start = stop
     raw = x.reshape(dim, dim)
     # the anti-Hermitian rounding noise of raw grows by about N^r in the
     # order-r tensor and fails its consistency gate from N = 11 on
@@ -433,18 +437,19 @@ def run_tomography(
 ) -> ReconstructionResult:
     """Measure every populated manifold and invert its outcome laws to a state.
 
-    shots=None runs the exact mode (no sampling).  Each unique direction is
-    rotated once, up to the top manifold within the cap, before anything is
-    measured; the solve rows of both modes read those bases.  Shot mode
-    samples the whole state along the direction and splits the counts into
-    one conditional law per manifold (_split_by_manifold).  Exact mode reads
-    the exact law of each manifold it solves from the same bases, so
-    manifolds the cap skips are never rotated.  From the laws on, both
-    modes take one route.  Manifold N is recovered from the laws along the
-    direction sets of orders one to N (choose_directions) by one
-    least-squares fit of every outcome projector of those directions
-    (_solve_manifold), which reports its condition number and per-order
-    misfit; the paper's order-by-order route with its per-order design
+    shots=None runs the exact mode (no sampling).  Every unique direction is
+    rotated once, all in one fock.rotated_fock_bases call, up to the top
+    manifold within the cap, before anything is measured; the solve rows of
+    both modes read those bases, stacked per manifold over its lines.  Shot
+    mode samples the whole state along the direction and splits the counts
+    into one conditional law per manifold (_split_by_manifold).  Exact mode
+    takes the exact laws of each manifold it solves along all its lines in
+    one product of the same bases, so manifolds the cap skips are never
+    rotated.  From the laws on, both modes take one route.  Manifold N is
+    recovered from the laws along the direction sets of orders one to N
+    (choose_directions) by one least-squares fit of every outcome projector
+    of those directions (_solve_manifold), which reports its condition
+    number and per-order misfit; the paper's order-by-order route with its per-order design
     (reference.py) is the reference it is checked against and never runs
     here.  Every direction set is closed-form, so nothing is searched or
     cached and each call does the same work.  Manifolds beyond the order
@@ -483,19 +488,20 @@ def run_tomography(
     if not unique:
         # vacuum-only input: one setting still pins the photon distribution
         unique.append(Direction(0.0, 0.0, 1.0))
-    # the solve rows of both modes and the exact laws read these bases
-    bases = {d: rotated_fock_bases(d, top) for d in unique}
+    # one rotation of every line; the solve rows of both modes and the exact
+    # laws read each manifold's bases stacked over its lines, orders 1..N in turn
+    bases = rotated_fock_bases(unique, top)
+    position = {d: i for i, d in enumerate(unique)}
+    lines = {n: [d for r in range(1, n + 1) for d in sets[r].directions] for n in populated}
+    stacked = {n: bases[n][[position[d] for d in lines[n]]] for n in populated}
 
     records = []
     if shots is None:
-        densities = {n: ms.density() for n, _, ms in block.blocks if n <= order_cap}
-        probs = {
-            (d, n): _outcome_probabilities(densities[n], bases[d][n])
-            for n in populated
-            for r in range(1, n + 1)
-            for d in sets[r].directions
-        }
-        laws = {key: p / p.sum() for key, p in probs.items()}
+        laws = {}
+        for n, _, ms in block.blocks:
+            if n <= order_cap:
+                p = _outcome_probabilities(ms.density(), stacked[n])
+                laws.update(zip([(d, n) for d in lines[n]], p / p.sum(axis=-1, keepdims=True)))
         probabilities = {n: block.probability(n) for n in populated}
         prob_errors = {n: 0.0 for n in populated}
     else:
@@ -532,7 +538,7 @@ def run_tomography(
         )
     return ReconstructionResult(
         manifolds={
-            n: _solve_manifold(n, probabilities.get(n, 0.0), prob_errors.get(n, 0.0), m, bases)
+            n: _solve_manifold(n, probabilities.get(n, 0.0), prob_errors.get(n, 0.0), m, stacked[n])
             for n, m in solvable.items()
         },
         skipped=skipped,

@@ -294,6 +294,8 @@ def test_state_file_with_non_finite_number_rejected(capsys, tmp_path, literal):
         ("noon:", "needs the parameter n"),
         ("noon:n=2.7", "must be an integer"),
         ("noon:n=2,m=5", "takes no parameter m"),
+        ("noon:n=2,n=3", "parameter n appears twice"),
+        ("su2:n=2,theta=0.1, theta=0.1", "parameter theta appears twice"),
         ("su2:n=2,theta=inf", "angles (theta, phi) must be finite"),
     ],
 )
@@ -305,6 +307,22 @@ def test_malformed_state_spec_rejected(capsys, spec, message):
 
 
 BLOCK = {"N": 1, "pN": 1.0, "vector": [[1.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"blocks": [], "blocks": [BLOCK]}', "blocks"),
+        ('{"blocks": [{"N": 1, "pN": 1.0, "pN": 0.5, "vector": [[1.0, 0.0], [0.0, 0.0]]}]}', "pN"),
+    ],
+)
+def test_state_file_with_repeated_key_rejected(capsys, tmp_path, text, key):
+    path = tmp_path / "state.json"
+    path.write_text(text.replace("BLOCK", json.dumps(BLOCK)))
+    code, out, err = run_cli(capsys, "tomography", "--state", str(path), "--shots", "inf")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: state file repeats the key {key!r}\n"
 
 
 @pytest.mark.parametrize(

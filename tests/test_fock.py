@@ -20,6 +20,7 @@ from stokes_lab.fock import (
     su2_unitary,
 )
 from stokes_lab.serialize import operator_from_json, operator_to_json
+from stokes_lab.tomography import choose_directions
 
 from conftest import lattice_stokes, random_direction, series_expm
 
@@ -96,17 +97,30 @@ def test_direction_rejects_non_finite_components(components, index, bad):
 
 def test_rotated_fock_bases_diagonalize_direction_operator(rng):
     axes = [sign * v for v in np.eye(3) for sign in (1.0, -1.0)]
-    for d in axes + [random_direction(rng) for _ in range(8)]:
-        bases = rotated_fock_bases(d, 32)
-        assert len(bases) == 33
+    lines = axes + [random_direction(rng) for _ in range(8)]
+    bases = rotated_fock_bases(lines, 32)
+    assert len(bases) == 33
+    for i, d in enumerate(lines):
         for n in range(1, 33):
-            u = bases[n]
+            assert bases[n].shape == (len(lines), n + 1, n + 1)
+            u = bases[n][i]
             np.testing.assert_allclose(u.conj().T @ u, np.eye(n + 1), atol=1e-12)
             np.testing.assert_allclose(
                 u.conj().T @ stokes_in_direction(d, n) @ u,
                 np.diag([n - 2.0 * k for k in range(n + 1)]),
                 atol=1e-12,
             )
+
+
+def test_a_line_basis_does_not_depend_on_its_batch():
+    # the lines of a tomography run up to order 6, plus the axes where c or s is zero
+    lines = [d for r in range(1, 7) for d in choose_directions(r).directions]
+    lines += [Direction(sign, 0.0, 0.0) for sign in (1.0, -1.0)] + [Direction(0.0, 0.0, sign) for sign in (1.0, -1.0)]
+    batch = rotated_fock_bases(lines, 32)
+    for i, d in enumerate(lines):
+        alone = rotated_fock_bases((d,), 32)
+        for n in range(33):
+            assert np.array_equal(batch[n][i], alone[n][0]), (d, n)
 
 
 def test_direction_operator_examples():

@@ -460,6 +460,15 @@ class TestSolver:
         for cls in component_classes(4):
             assert comp[cls] == pytest.approx(want[cls], rel=1e-7, abs=1e-7)
 
+    @pytest.mark.parametrize("order", [25, 32])
+    def test_constraint_nullspace_beyond_order_twenty_four(self, order):
+        # the unscaled constraint rows read as degenerate from order 25 on
+        b = reference.casimir_constraint_matrix(order)
+        null = reference.constraint_nullspace(order)
+        assert null.shape == (b.shape[1], 2 * order + 1)
+        np.testing.assert_allclose(null.T @ null, np.eye(2 * order + 1), rtol=0, atol=1e-13)
+        assert np.abs(b @ null).max() <= 1e-15 * np.abs(b).max()
+
 
 class TestReconstruction:
     def test_single_photon_parameter_map(self, rng):
@@ -574,7 +583,7 @@ class TestPipeline:
         rows = [np.eye(n + 1).reshape(1, -1)]
         for r in range(1, n + 1):
             for d in choose_directions(r).directions:
-                u = rotated_fock_bases(d, n)[n]
+                u = rotated_fock_bases((d,), n)[n][0]
                 rows += [np.outer(u[:, k], u[:, k].conj()).reshape(1, -1) for k in range(n + 1)]
         return np.concatenate(rows)
 
@@ -710,9 +719,9 @@ class TestPipeline:
         calls = []
         rotate = tomography.rotated_fock_bases
 
-        def counted(n, n_max):
-            calls.append((n, n_max))
-            return rotate(n, n_max)
+        def counted(lines, n_max):
+            calls.append((tuple(lines), n_max))
+            return rotate(lines, n_max)
 
         def whole_state(*args, **kwargs):
             raise AssertionError("exact mode took the law of the whole state")
@@ -723,9 +732,11 @@ class TestPipeline:
         unique = {d for r in range(1, 7) for d in choose_directions(r).directions}
         assert sorted(result.manifolds) == list(range(7))
         assert sorted(result.skipped) == list(range(7, 26))
-        assert len(calls) == len(unique) == 48
-        assert {d for d, _ in calls} == unique
-        assert {n_max for _, n_max in calls} == {6}
+        # one call holds every line once
+        [(lines, n_max)] = calls
+        assert len(lines) == len(set(lines)) == len(unique) == 48
+        assert set(lines) == unique
+        assert n_max == 6
 
     @pytest.mark.parametrize("top", [4, 6, 8, None], ids=["block-4", "block-6", "block-8-capped", "coherent-25"])
     def test_exact_laws_match_the_law_of_the_whole_state(self, monkeypatch, rng, top):
@@ -776,10 +787,10 @@ class TestPipeline:
         calls, sampling = [], []
         rotate, whole_state = tomography.rotated_fock_bases, tomography.outcome_distribution
 
-        def counted(n, n_max):
+        def counted(lines, n_max):
             if not sampling:
-                calls.append((n, n_max))
-            return rotate(n, n_max)
+                calls.append((tuple(lines), n_max))
+            return rotate(lines, n_max)
 
         def sampled(state, n):
             sampling.append(n)
@@ -798,9 +809,11 @@ class TestPipeline:
         unique = {d for r in range(1, 4) for d in choose_directions(r).directions}
         assert list(result.manifolds) == [1]
         assert "samples" in result.skipped[3]
-        assert len(calls) == len(unique) == 15
-        assert {d for d, _ in calls} == unique
-        assert {n_max for _, n_max in calls} == {3}
+        # outside sampling, one call holds every line once
+        [(lines, n_max)] = calls
+        assert len(lines) == len(set(lines)) == len(unique) == 15
+        assert set(lines) == unique
+        assert n_max == 3
 
     @pytest.mark.parametrize(
         "state",
