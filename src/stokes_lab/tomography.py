@@ -11,10 +11,12 @@ Order r has one direction set of 2r+1 lines (choose_directions): named sets
 up to order 3, a golden-angle spiral over the upper hemisphere above; each
 unique direction is rotated once per run, all in one array pass, and the
 solve rows read those bases stacked over each manifold's lines.  Shot mode
-samples the joint law of the whole state along each direction
-(outcome_distribution) and splits the counts by manifold; exact mode
-computes only the laws of the manifolds it solves, from the same bases, all
-lines of a manifold in one product.
+samples the joint law of the whole state along each direction, the laws of
+all directions taken in one pass over the blocks (_joint_laws, which also
+serves outcome_distribution and simulate_measurement), counts each
+setting's draws against the cumulative law and splits the counts by
+manifold; exact mode computes only the laws of the manifolds it solves,
+from the same bases, all lines of a manifold in one product.
 The paper's order-by-order route, a Casimir-constrained inversion per
 order, tensor assembly and inversion of the complete tensor set, lives in
 reference.py with its per-order design, as the reference this module is
@@ -97,21 +99,41 @@ class MeasurementRecord:
 def outcome_distribution(state, n) -> dict:
     """Joint law over (photon number, difference eigenvalue) for one direction.
 
-    On manifold N the eigenvectors of the directional operator are the
-    rotated Fock states of fock.rotated_fock_bases, with eigenvalues exactly
-    N-2k, so nothing is diagonalized or rounded.  The N+1 probabilities of a
-    block are the diagonal of U^dag rho U, taken in one contraction.
+    The law of the whole state along n, keyed by outcome in (N, s) order,
+    positive entries only.  It comes from _joint_laws, the one route to the
+    laws that simulate_measurement and run_tomography sample.
     """
     block = as_block_diagonal(state)
-    bases = rotated_fock_bases((n,), max(block.manifolds))
-    dist: dict[tuple[int, int], float] = {}
+    outcomes, laws = _joint_laws(block, rotated_fock_bases((n,), max(block.manifolds)))
+    return {o: float(w) for o, w in zip(outcomes, laws[0]) if w > 0.0}
+
+
+def _joint_laws(block: BlockDiagonalState, bases) -> tuple[list, np.ndarray]:
+    """Joint laws of the whole state along M lines at once.
+
+    bases holds, per manifold, the rotated Fock bases of the M lines
+    stacked, shape (M, N+1, N+1), as fock.rotated_fock_bases returns them.
+    On manifold N their columns are the eigenvectors of the directional
+    operator, with eigenvalues exactly N-2k, so nothing is diagonalized or
+    rounded.  Each block's density is built once and its laws along all M
+    lines taken in one _outcome_probabilities product.  Returns the outcomes
+    sorted by (N, s) and an (M, len(outcomes)) array, row m the law along
+    line m: each weight p_N Pr(s | N) over the line's total, summed
+    sequentially in the state's block order, and 0 where the weight is not
+    positive.
+    """
+    outcomes, weights = [], []
     for n_photons, p, ms in block.blocks:
-        probs = _outcome_probabilities(ms.density(), bases[n_photons][0])
-        # keys in ascending eigenvalue order, k = N..0
-        for k in range(n_photons, -1, -1):
-            dist[(n_photons, n_photons - 2 * k)] = p * float(probs[k])
-    total = sum(dist.values())
-    return {k: v / total for k, v in dist.items() if v > 0.0}
+        # columns in ascending eigenvalue order, k = N..0
+        weights.append(p * _outcome_probabilities(ms.density(), bases[n_photons])[:, ::-1])
+        outcomes.extend((n_photons, s) for s in range(-n_photons, n_photons + 1, 2))
+    raw = np.concatenate(weights, axis=1)
+    # cumsum adds left to right, as a sum over the outcomes one at a time
+    # would; np.sum pairs them up and may round differently
+    total = np.cumsum(raw, axis=1)[:, -1:]
+    order = sorted(range(len(outcomes)), key=outcomes.__getitem__)
+    laws = np.where(raw > 0.0, raw / total, 0.0)[:, order]
+    return [outcomes[i] for i in order], laws
 
 
 def _outcome_probabilities(density: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -136,30 +158,55 @@ def _split_by_manifold(tally: dict) -> dict:
 
 
 def simulate_measurement(state, setting: MeasurementSetting) -> MeasurementRecord:
-    """Draw i.i.d. joint outcomes with a counter-based generator.
+    """Draw i.i.d. joint outcomes of the whole state along one direction.
+
+    The law is outcome_distribution's, from _joint_laws, and the draws are
+    those of _sample_record: shot i takes the i-th uniform of the Philox
+    stream keyed by setting.seed.  run_tomography draws its settings the
+    same way from laws taken for all its lines in one call, so its records
+    equal this function's on the same settings.
+    """
+    block = as_block_diagonal(state)
+    outcomes, laws = _joint_laws(block, rotated_fock_bases((setting.direction,), max(block.manifolds)))
+    return _sample_record(setting, outcomes, laws[0])
+
+
+def _sample_record(setting: MeasurementSetting, outcomes: list, law: np.ndarray) -> MeasurementRecord:
+    """Draw setting.shots outcomes from law, whose entries follow outcomes.
 
     Shot i consumes the i-th uniform variate of a Philox stream keyed by
     the setting seed, so any worker partition of the shot range reproduces
-    the same record.  The stream is drawn and binned SAMPLE_CHUNK variates
+    the same record.  The stream is drawn and counted SAMPLE_CHUNK variates
     at a time, so memory stays flat in the shot count and the chunk size
-    does not change the record.
+    does not change the record.  Outcome i takes the draws in
+    [edges[i-1], edges[i]), the edges being the cumulative law of the
+    positive entries with the last one set to 1.
     """
-    dist = outcome_distribution(state, setting.direction)
-    outcomes = sorted(dist)
-    probs = np.array([dist[o] for o in outcomes])
-    edges = np.cumsum(probs)
+    kept = law > 0.0
+    outcomes = [o for o, k in zip(outcomes, kept) if k]
+    edges = np.cumsum(law[kept])
     edges[-1] = 1.0
     gen = np.random.Generator(np.random.Philox(key=setting.seed))
-    counts = np.zeros(len(outcomes), dtype=np.int64)
+    counts = np.zeros(len(edges), dtype=np.int64)
     for start in range(0, setting.shots, SAMPLE_CHUNK):
         draws = gen.random(min(SAMPLE_CHUNK, setting.shots - start))
-        # outcome i takes the draws in [edges[i-1], edges[i]); counting them
-        # from the sorted chunk replaces one binary search per shot
-        draws.sort()
-        counts += np.diff(np.searchsorted(draws, edges, side="left"), prepend=0)
-    return MeasurementRecord(
-        setting, {o: int(c) for o, c in zip(outcomes, counts) if c > 0}
-    )
+        counts += np.diff(_draws_below(draws, edges), prepend=0)
+    return MeasurementRecord(setting, {o: int(c) for o, c in zip(outcomes, counts) if c > 0})
+
+
+def _draws_below(draws: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The number of draws below each edge, by the cheaper of two routes.
+
+    Comparing the draws with each edge costs one pass per edge; sorting
+    them first and binary-searching each edge costs about log2(len(draws))
+    comparisons per draw.  So the draws are compared while the edges number
+    at most len(draws).bit_length(), and sorted (in place) beyond.  Both
+    routes give the same counts.
+    """
+    if len(edges) <= len(draws).bit_length():
+        return np.array([np.count_nonzero(draws < e) for e in edges])
+    draws.sort()
+    return np.searchsorted(draws, edges, side="left")
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +485,18 @@ def run_tomography(
     """Measure every populated manifold and invert its outcome laws to a state.
 
     shots=None runs the exact mode (no sampling).  Every unique direction is
-    rotated once, all in one fock.rotated_fock_bases call, up to the top
-    manifold within the cap, before anything is measured; the solve rows of
-    both modes read those bases, stacked per manifold over its lines.  Shot
-    mode samples the whole state along the direction and splits the counts
-    into one conditional law per manifold (_split_by_manifold).  Exact mode
-    takes the exact laws of each manifold it solves along all its lines in
-    one product of the same bases, so manifolds the cap skips are never
-    rotated.  From the laws on, both modes take one route.  Manifold N is
+    rotated once, all in one fock.rotated_fock_bases call, before anything
+    is measured; the solve rows of both modes read those bases, stacked per
+    manifold over its lines.  Shot mode rotates up to the top manifold of
+    the state, takes the joint laws of the whole state along all directions
+    in one _joint_laws call, draws each setting's record from its law with
+    the Philox key (seed << 32) + i of direction i, and splits the counts
+    into one conditional law per manifold (_split_by_manifold).  Its records
+    equal those of simulate_measurement on the same settings.  Exact mode
+    rotates up to the top manifold within the cap and takes the exact laws
+    of each manifold it solves along all its lines in one product of the
+    bases, so manifolds the cap skips are never rotated.  From the laws on,
+    both modes take one route.  Manifold N is
     recovered from the laws along the direction sets of orders one to N
     (choose_directions) by one least-squares fit of every outcome projector
     of those directions (_solve_manifold), which reports its condition
@@ -471,6 +522,8 @@ def run_tomography(
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if max_order is not None and type(max_order) is not int:
         raise ValueError(f"max_order must be None or an integer, got {max_order!r}")
+    if max_order is not None and max_order < 0:
+        raise ValueError(f"max_order must be a non-negative integer, got {max_order}")
     block = as_block_diagonal(state)
     order_cap = DEFAULT_ORDER_CAP if max_order is None else max_order
     deep_manifolds = {n for n in block.manifolds if n > order_cap}
@@ -489,8 +542,10 @@ def run_tomography(
         # vacuum-only input: one setting still pins the photon distribution
         unique.append(Direction(0.0, 0.0, 1.0))
     # one rotation of every line; the solve rows of both modes and the exact
-    # laws read each manifold's bases stacked over its lines, orders 1..N in turn
-    bases = rotated_fock_bases(unique, top)
+    # laws read each manifold's bases stacked over its lines, orders 1..N in
+    # turn.  Shot mode samples the whole state, so its bases reach the top
+    # manifold of the state; level N does not depend on how far they reach.
+    bases = rotated_fock_bases(unique, top if shots is None else max(block.manifolds))
     position = {d: i for i, d in enumerate(unique)}
     lines = {n: [d for r in range(1, n + 1) for d in sets[r].directions] for n in populated}
     stacked = {n: bases[n][[position[d] for d in lines[n]]] for n in populated}
@@ -505,10 +560,11 @@ def run_tomography(
         probabilities = {n: block.probability(n) for n in populated}
         prob_errors = {n: 0.0 for n in populated}
     else:
+        outcomes, whole = _joint_laws(block, bases)
         # disjoint Philox keys per setting from the 64-bit base seed
         records = [
-            simulate_measurement(block, MeasurementSetting(d, shots, (seed << 32) + i))
-            for i, d in enumerate(unique)
+            _sample_record(MeasurementSetting(d, shots, (seed << 32) + i), outcomes, law)
+            for i, (d, law) in enumerate(zip(unique, whole))
         ]
         split = {d: _split_by_manifold(record.counts) for d, record in zip(unique, records)}
         laws = {(d, n): law for d, by_n in split.items() for n, (_, law) in by_n.items()}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stokes_lab
-from stokes_lab import checks, cli, tomography
+from stokes_lab import checks, cli, serialize, tomography
 from stokes_lab.cli import MAX_MESH_POINTS, _parse_state_spec, _profile_mesh, main
 from stokes_lab.closed_forms import noon_profile
 from stokes_lab.fock import Direction
@@ -96,6 +96,21 @@ def test_state_bytes_pinned_with_explicit_flags(capsys, argv, digest):
     code, out, _ = run_cli(capsys, "state", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        pytest.param("noon:n=2", "30bbf86dddc9500506ced864257e72e5caeb61839f17ed0f7fd0f0e6b2c993bc", id="noon:n=2"),
+        pytest.param("su2:n=4,theta=0.8,phi=0.3", "4fb1e1faa9e432e899a2672f0d7379d940d937c9a76950965809aac0f5884bd9", id="su2:n=4,theta=0.8,phi=0.3"),
+        pytest.param("coherent:nbar=2.0,nmax=25", "8dac98f1c4223b68b1131fe10cc6e89f1c4d1ce766a5b6532ecd71f65a4f88dd", id="coherent:nbar=2.0,nmax=25"),
+    ],
+)
+def test_records_bytes_pinned(capsys, spec, digest):
+    # only the counts: rho also depends on the BLAS build
+    code, out, _ = run_cli(capsys, "tomography", "--state", spec, "--shots", "100000", "--seed", "3", "--records")
+    assert code == 0
+    assert hashlib.sha256(serialize.dumps(json.loads(out)["records"]).encode()).hexdigest() == digest
 
 
 def test_state_rejects_bad_params(capsys):
@@ -224,6 +239,20 @@ def test_order_above_the_tensor_bound_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "MAX_TENSOR_ORDER" in err
+
+
+def test_negative_order_cap_rejected(capsys):
+    code, out, err = run_cli(capsys, "tomography", "--state", "noon:n=2", "--order", "-1", "--shots", "inf")
+    assert code == 1 and out == ""
+    assert err == "error: max_order must be a non-negative integer, got -1\n"
+
+
+def test_order_cap_zero_reconstructs_vacuum(capsys, tmp_path):
+    path = tmp_path / "vacuum.json"
+    path.write_text(json.dumps({"blocks": [{"N": 0, "pN": 1.0, "vector": [[1.0, 0.0]]}]}))
+    code, out, err = run_cli(capsys, "tomography", "--state", str(path), "--order", "0", "--shots", "100", "--seed", "1")
+    assert code == 0 and err == ""
+    assert [m["N"] for m in json.loads(out)["manifolds"]] == [0]
 
 
 def test_tomography_seeded_bytes_reproducible(capsys):

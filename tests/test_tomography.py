@@ -123,6 +123,30 @@ class TestOutcomeDistribution:
                 for key in set(dist) | set(reference):
                     assert abs(dist.get(key, 0.0) - reference.get(key, 0.0)) <= 1e-12, (order, key)
 
+    def test_laws_of_a_batch_keep_the_arithmetic_of_one_line(self, rng):
+        # per line, weights p_N Pr(s | N) summed one after another in the
+        # state's block order, over the positive ones, as a loop over blocks
+        # would; the blocks of the second state are not listed in N order
+        weights = rng.dirichlet(np.ones(4))
+        shuffled = BlockDiagonalState(
+            tuple((n, float(p), ManifoldState.mixed(n, random_density(n, rng))) for n, p in zip((3, 0, 5, 2), weights))
+        )
+        lines = [d for r in range(1, 7) for d in choose_directions(r).directions]
+        for state in (two_mode_coherent(2.0, 25), shuffled):
+            block = as_block_diagonal(state)
+            top = max(block.manifolds)
+            outcomes, laws = tomography._joint_laws(block, rotated_fock_bases(lines, top))
+            assert outcomes == sorted(outcomes) and laws.shape == (len(lines), len(outcomes))
+            for d, law in zip(lines, laws):
+                bases = rotated_fock_bases((d,), top)
+                raw = {}
+                for n, p, ms in block.blocks:
+                    probs = tomography._outcome_probabilities(ms.density(), bases[n][0])
+                    for k in range(n, -1, -1):
+                        raw[(n, n - 2 * k)] = p * float(probs[k])
+                total = sum(raw.values())
+                assert law.tolist() == [raw[o] / total if raw[o] > 0.0 else 0.0 for o in outcomes]
+
     def test_opposite_direction_mirrors_eigenvalues(self, rng):
         state = ManifoldState.mixed(2, random_density(2, rng))
         v = random_direction(rng)
@@ -182,6 +206,22 @@ class TestSimulation:
         want = {o: int(c) for o, c in zip(outcomes, counts) if c > 0}
         monkeypatch.setattr(tomography, "SAMPLE_CHUNK", chunk)
         assert simulate_measurement(state, setting).counts == want
+
+    @pytest.mark.parametrize("n_edges, compared", [(1, True), (7, True), (8, False), (40, False)])
+    def test_both_counting_routes_match_the_binary_search(self, n_edges, compared):
+        # 100 draws: up to 100 .bit_length() = 7 edges are compared with every
+        # draw, more are found in the sorted draws; every edge equals a draw,
+        # and every other edge its predecessor
+        rng = np.random.default_rng(n_edges)
+        draws = rng.random(100)
+        edges = np.sort(rng.choice(draws, n_edges))
+        edges[1::2] = edges[:-1:2]
+        edges[-1] = 1.0
+        want = np.searchsorted(np.sort(draws), edges, side="left")
+        chunk = draws.copy()
+        np.testing.assert_array_equal(tomography._draws_below(chunk, edges), want)
+        # only the search route sorts the chunk, in place
+        assert np.array_equal(chunk, draws) == compared
 
     def test_sampling_memory_does_not_grow_with_shots(self, monkeypatch):
         monkeypatch.setattr(tomography, "SAMPLE_CHUNK", 1 << 10)
@@ -764,56 +804,61 @@ class TestPipeline:
                     whole = tomography._split_by_manifold(outcome_distribution(state, d))[n][1]
                     np.testing.assert_allclose(law, whole, rtol=0, atol=1e-15)
 
-    def test_shot_mode_samples_the_whole_state_once_per_direction(self, monkeypatch):
-        sampled = []
+    def test_shot_mode_samples_the_whole_state_once_per_direction(self, monkeypatch, rng):
+        # a state with manifolds above the cap, and one whose blocks are not listed in N order
+        weights = rng.dirichlet(np.ones(4))
+        shuffled = BlockDiagonalState(
+            tuple((n, float(p), ManifoldState.mixed(n, random_density(n, rng))) for n, p in zip((3, 0, 5, 2), weights))
+        )
         simulate = tomography.simulate_measurement
 
-        def counted(state, setting):
-            sampled.append((state.manifolds, setting.direction))
-            return simulate(state, setting)
+        def one_line(*args, **kwargs):
+            raise AssertionError("shot mode took the law of one line")
 
-        monkeypatch.setattr(tomography, "simulate_measurement", counted)
-        state = two_mode_coherent(1.0, 16)
-        result = run_tomography(state, shots=2000, seed=4)
-        unique = {d for r in range(1, 7) for d in choose_directions(r).directions}
-        assert len(sampled) == len({d for _, d in sampled}) == len(unique)
-        assert {d for _, d in sampled} == unique
-        assert {manifolds for manifolds, _ in sampled} == {state.manifolds}
-        assert len(result.records) == len(unique)
+        monkeypatch.setattr(tomography, "outcome_distribution", one_line)
+        monkeypatch.setattr(tomography, "simulate_measurement", one_line)
+        shots, seed = 2000, 4
+        for state, top in ((shuffled, 5), (two_mode_coherent(1.0, 16), 6)):
+            result = run_tomography(state, shots=shots, seed=seed)
+            unique = {d for r in range(1, top + 1) for d in choose_directions(r).directions}
+            lines = [record.setting.direction for record in result.records]
+            assert len(lines) == len(set(lines)) == len(unique)
+            assert set(lines) == unique
+            # the batch draws each line's record from the law of the whole state along it
+            for i, record in enumerate(result.records):
+                want = simulate(state, MeasurementSetting(lines[i], shots, (seed << 32) + i))
+                assert record.setting == want.setting
+                assert record.counts == want.counts
+        # the coherent records reach manifolds above the cap, which the whole state populates
+        assert any(n > 6 for record in result.records for n, _ in record.counts)
 
     def test_shot_mode_rotates_each_direction_once_up_to_the_cap(self, monkeypatch, rng):
-        # the N = 3 block draws too few samples and is skipped, so only the
-        # orders of N = 1 are solved; the bases still reach manifold 3, once
-        calls, sampling = [], []
-        rotate, whole_state = tomography.rotated_fock_bases, tomography.outcome_distribution
+        # one rotation serves sampling and the solve rows: it holds every line
+        # once, up to the top manifold of the state, above the cap too
+        calls = []
+        rotate = tomography.rotated_fock_bases
 
         def counted(lines, n_max):
-            if not sampling:
-                calls.append((tuple(lines), n_max))
+            calls.append((tuple(lines), n_max))
             return rotate(lines, n_max)
 
-        def sampled(state, n):
-            sampling.append(n)
-            try:
-                return whole_state(state, n)
-            finally:
-                sampling.pop()
-
         monkeypatch.setattr(tomography, "rotated_fock_bases", counted)
-        monkeypatch.setattr(tomography, "outcome_distribution", sampled)
+        # the N = 3 block draws too few samples and is skipped, so only the
+        # orders of N = 1 are solved; the bases still reach manifold 3, once
         blocks = (
             (1, 1 - 1e-9, ManifoldState.mixed(1, random_density(1, rng))),
             (3, 1e-9, ManifoldState.mixed(3, random_density(3, rng))),
         )
         result = run_tomography(BlockDiagonalState(blocks), shots=2000, seed=4)
-        unique = {d for r in range(1, 4) for d in choose_directions(r).directions}
         assert list(result.manifolds) == [1]
         assert "samples" in result.skipped[3]
-        # outside sampling, one call holds every line once
-        [(lines, n_max)] = calls
-        assert len(lines) == len(set(lines)) == len(unique) == 15
-        assert set(lines) == unique
-        assert n_max == 3
+        result = run_tomography(two_mode_coherent(1.0, 16), shots=2000, seed=4)
+        assert set(range(7, 17)) <= set(result.skipped)
+        for (lines, n_max), top, n_lines, want_max in zip(calls, (3, 6), (15, 48), (3, 16), strict=True):
+            unique = {d for r in range(1, top + 1) for d in choose_directions(r).directions}
+            assert len(lines) == len(set(lines)) == len(unique) == n_lines
+            assert set(lines) == unique
+            assert n_max == want_max
 
     @pytest.mark.parametrize(
         "state",
@@ -865,6 +910,7 @@ class TestPipeline:
             pytest.param({"shots": 100, "seed": 1 << 64}, r"in \[0, 2\^64\)", id="seed-too-wide"),
             pytest.param({"max_order": True}, "max_order must be None or an integer", id="max-order-bool"),
             pytest.param({"max_order": 2.0}, "max_order must be None or an integer", id="max-order-float"),
+            pytest.param({"max_order": -1}, "max_order must be a non-negative integer, got -1", id="max-order-negative"),
         ],
     )
     def test_arguments_rejected_before_measuring(self, monkeypatch, kwargs, message):
@@ -879,6 +925,13 @@ class TestPipeline:
     def test_vacuum_only_input(self):
         vacuum = ManifoldState.fock(0, 0)
         result = run_tomography(vacuum, shots=100, seed=1)
+        assert result.manifolds[0].probability == pytest.approx(1.0)
+        np.testing.assert_allclose(result.manifolds[0].state.density(), [[1.0]])
+
+    @pytest.mark.parametrize("shots", [100, None], ids=["shots", "exact"])
+    def test_order_cap_zero_reconstructs_vacuum(self, shots):
+        # vacuum needs no order, so the cap 0 is valid
+        result = run_tomography(ManifoldState.fock(0, 0), shots=shots, seed=1, max_order=0)
         assert result.manifolds[0].probability == pytest.approx(1.0)
         np.testing.assert_allclose(result.manifolds[0].state.density(), [[1.0]])
 
