@@ -106,15 +106,28 @@ def _build_family(family: str, params: dict) -> tuple:
     return as_block_diagonal(build(*values.values())), values
 
 
+def _writes_csv(out_path: str | None, csv_default: bool = False) -> bool:
+    """A .csv or .json out_path picks the format; any other path, and stdout, get the default."""
+    if out_path is not None and out_path.endswith((".csv", ".json")):
+        return out_path.endswith(".csv")
+    return csv_default
+
+
+def _write(out_path: str | None, chunks) -> None:
+    """Write the text chunks to out_path, or to stdout when it is None."""
+    if out_path is None:
+        sys.stdout.writelines(chunks)
+        return
+    with open(out_path, "w", encoding="utf-8") as handle:
+        handle.writelines(chunks)
+
+
 def _emit(out_path: str | None, payload, csv_rows=None, csv_default: bool = False) -> None:
     """Write payload as JSON, or csv_rows (header first) as CSV, to out_path or stdout.
 
     csv_rows is read only when CSV is written; None marks a JSON-only payload.
     """
-    as_csv = csv_default
-    if out_path is not None and out_path.endswith((".csv", ".json")):
-        as_csv = out_path.endswith(".csv")
-    if not as_csv:
+    if not _writes_csv(out_path, csv_default):
         text = serialize.dumps(payload) + "\n"
     elif csv_rows is None:
         raise ValueError("this payload is JSON-only; use a .json path")
@@ -122,11 +135,7 @@ def _emit(out_path: str | None, payload, csv_rows=None, csv_default: bool = Fals
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(csv_rows)
         text = buffer.getvalue()
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _write(out_path, (text,))
 
 
 def _cmd_state(args) -> int:
@@ -158,11 +167,23 @@ def _profile_mesh(state, order: int, mesh_shape) -> tuple:
     return theta_deg, phi_deg, (a @ b).tolist()
 
 
-def _mesh_rows(theta_deg, phi_deg, values):
-    yield ("theta_deg", "phi_deg", "value")
-    for th, row in zip(theta_deg, values):
-        for ph, value in zip(phi_deg, row):
-            yield th, ph, repr(value)
+def _mesh_text(theta, phi, rows, as_csv: bool):
+    """The profile's CSV or JSON text, in pieces, from the repr strings of its axes and values.
+
+    The JSON is the bytes serialize.dumps gives the payload {"theta_deg",
+    "phi_deg", "values"}, plus a newline.
+    """
+    if as_csv:
+        yield "theta_deg,phi_deg,value\n"
+        for t, row in zip(theta, rows):
+            yield "".join([f"{t},{p},{v}\n" for p, v in zip(phi, row)])
+        return
+    yield f'{{"phi_deg":[{",".join(phi)}],"theta_deg":[{",".join(theta)}],"values":['
+    separator = ""
+    for row in rows:
+        yield f'{separator}[{",".join(row)}]'
+        separator = ","
+    yield "]}\n"
 
 
 def _cmd_profile(args) -> int:
@@ -178,8 +199,11 @@ def _cmd_profile(args) -> int:
         if shape[0] * shape[1] > MAX_MESH_POINTS:
             raise ValueError(f"mesh {shape[0]}x{shape[1]} has more than MAX_MESH_POINTS = {MAX_MESH_POINTS} points")
     theta_deg, phi_deg, values = _profile_mesh(state, args.order, shape)
-    payload = {"theta_deg": theta_deg, "phi_deg": phi_deg, "values": values}
-    _emit(args.out, payload, _mesh_rows(theta_deg, phi_deg, values))
+    (theta,) = serialize.float_reprs([theta_deg])
+    (phi,) = serialize.float_reprs([phi_deg])
+    rows = serialize.float_reprs(values)
+    del values  # rows holds the mesh as one float64 array; free the nested lists before formatting
+    _write(args.out, _mesh_text(theta, phi, rows, _writes_csv(args.out)))
     return 0
 
 

@@ -20,6 +20,8 @@ from .tomography import (
 )
 from .fock import Direction
 
+REPR_BLOCK_POINTS = 1 << 16  # a default 181x361 mesh is one block; at most about 5 MB of strings
+
 
 def _complex_pairs(values) -> list:
     """Nested lists of the same shape, each complex entry as [re, im]."""
@@ -174,6 +176,30 @@ def result_to_json(result: ReconstructionResult, include_records: bool = False) 
     if include_records:
         payload["records"] = [record_to_json(r) for r in result.records]
     return payload
+
+
+def float_reprs(values):
+    """Rows of repr(value), the text json.dumps gives each float, for a 2-D nested list.
+
+    A non-finite value raises json's ValueError before any row is made.  Points
+    are grouped by bit pattern, which keeps 0.0 and -0.0 apart, and each distinct
+    pattern is formatted once per block of REPR_BLOCK_POINTS points; the block
+    bounds how many strings are held at once.
+    """
+    grid = np.array(values, dtype=np.float64)
+    if not np.isfinite(grid).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    bits = grid.view(np.uint64)
+    step = max(1, REPR_BLOCK_POINTS // bits.shape[1])
+
+    def rows():
+        for start in range(0, len(bits), step):
+            distinct, inverse = np.unique(bits[start : start + step], return_inverse=True)
+            texts = np.fromiter(map(float.__repr__, distinct.view(np.float64)), dtype=object, count=distinct.size)
+            for row in inverse.reshape(-1, bits.shape[1]):
+                yield texts[row].tolist()
+
+    return rows()
 
 
 def dumps(payload) -> str:

@@ -208,6 +208,94 @@ def test_profile_deterministic_bytes(capsys):
     assert out1 == out2
 
 
+# sha256 of `stokes-lab profile` on the default 181x361 mesh, to stdout (JSON)
+# and to a .csv path, as the json and csv modules wrote them
+@pytest.mark.parametrize(
+    "spec, order, json_digest, csv_digest",
+    [
+        pytest.param(
+            "noon:n=6", 6,
+            "7db5ac4965727782979edcb5fc54f18c370c4d7fc0a7a3a322ac22105b6f74c4",
+            "bb9ce69e52b55e3f50bded87b661198f7bc8be02d5e8ff4d631bde1307c163f0",
+            id="noon:n=6",
+        ),
+        pytest.param(
+            "coherent:nbar=2.0,nmax=25", 6,
+            "a50cbf93e0e27c17a4617e681d0baf7f3bdb13b276de02b143a00b35b88b0e3a",
+            "84ec50f05b0022c34320c43cc64f031fb4feb7365cd737f5a26f0af3eb437136",
+            id="coherent:nbar=2.0,nmax=25",
+        ),
+        pytest.param(
+            "su2:n=4,theta=0.7,phi=1.1", 4,
+            "c4fec928bf3519ac6fbf17204c17710e6fd5f7636959b7eebf777cbf2e294a49",
+            "1a316958b0463f352ce279055a05863baf1a619a506331ccaf6dc465cf12bb7a",
+            id="su2:n=4,theta=0.7,phi=1.1",
+        ),
+        # exact zeros and rounding noise of both signs
+        pytest.param(
+            "twinfock:m=2", 3,
+            "aba0eb9a7312222053ae0c94a12421600360ef9b2082ceba5ab96d20db42d8fe",
+            "cf5dff4b24c36fb6a8ce2b00936cac9bc561a6cc13ea2de9feb5ffe82b3a2266",
+            id="twinfock:m=2",
+        ),
+    ],
+)
+def test_profile_bytes_pinned(capsys, tmp_path, spec, order, json_digest, csv_digest):
+    args = ("profile", "--state", spec, "--order", str(order))
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == json_digest
+    out_path = tmp_path / "mesh.csv"
+    assert run_cli(capsys, *args, "--out", str(out_path)) == (0, "", "")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == csv_digest
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("suffix", [".json", ".csv", None])
+def test_profile_non_finite_mesh_rejected_in_every_format(capsys, monkeypatch, tmp_path, bad, suffix):
+    def mesh(state, order, shape):
+        return [0.0, 90.0], [0.0, 360.0], [[1.0, 2.0], [bad, 3.0]]
+
+    monkeypatch.setattr(cli, "_profile_mesh", mesh)
+    path = tmp_path / f"mesh{suffix}"
+    out_args = () if suffix is None else ("--out", str(path))
+    code, out, err = run_cli(capsys, "profile", "--state", "noon:n=2", "--order", "2", *out_args)
+    assert (code, out) == (1, "")
+    assert err == "error: Out of range float values are not JSON compliant\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("block_points", [1, 3, serialize.REPR_BLOCK_POINTS])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param(
+            [
+                [0.0, -0.0, 1.5, 1.5, 5e-324],
+                [-0.0, 0.0, -5e-324, 1e-05, 1.5],
+                [2.2250738585072014e-308, 1e16, 0.1, 0.1, -0.0],
+            ],
+            id="signed-zeros-repeats-subnormals",
+        ),
+        pytest.param([[0.1], [-0.0], [0.1], [1e300]], id="one-value-per-row"),
+    ],
+)
+def test_float_reprs_give_the_json_text(monkeypatch, grid, block_points):
+    monkeypatch.setattr(serialize, "REPR_BLOCK_POINTS", block_points)
+    rows = list(serialize.float_reprs(grid))
+    assert rows == [[repr(value) for value in row] for row in grid]
+    assert "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]" == json.dumps(grid, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_reprs_refuse_non_finite_values_as_json_does(bad):
+    with pytest.raises(ValueError) as json_error:
+        serialize.dumps([[1.0, bad]])
+    with pytest.raises(ValueError) as error:
+        serialize.float_reprs([[1.0, bad]])
+    assert str(error.value) == str(json_error.value)
+
+
 def test_tomography_exact_round_trip(capsys):
     code, out, _ = run_cli(capsys, "tomography", "--state", "noon:n=2", "--shots", "inf")
     assert code == 0
